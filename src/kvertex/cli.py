@@ -153,7 +153,11 @@ def cmd_dt(args, out):
 
 
 def cmd_pt(args, out):
-    guard = int(os.environ.get("KVERTEX_GUARD_ORDER", "2"))
+    text = os.environ.get("KVERTEX_GUARD_ORDER", "2")
+    try:
+        guard = int(text)
+    except ValueError:
+        raise UsageError("KVERTEX_GUARD_ORDER must be an integer, not %r" % text)
     vs = vertexk.pt_vertex_series(*args.legs, order=args.order, jobs=args.jobs, guard=guard)
     _emit_series(vs, args.format, out)
     return 0

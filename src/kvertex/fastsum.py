@@ -1,23 +1,47 @@
 """Vectorized engine for summing fixed-point weights.
 
 Same algorithm as the pure-Python merge tree in vertexk (factored
-fractions over weight binomials, trial-division reduction), but with
-polynomials held as parallel numpy int64 arrays: packed monomial keys in
-five 12-bit lanes and integer coefficients. All arithmetic is integer
-arithmetic; exactness is preserved by explicit range checks on both
-exponents and coefficients, and any violation falls back to the exact
-dict-based engine. Set KVERTEX_PURE=1 to force the fallback everywhere.
+fractions over weight binomials, trial-division reduction), with each
+numerator held in numpy int64 arrays in one of two layouts:
 
-Division by a weight binomial t^m - t^(-m) works line by line along the
-exponent direction 2m: after a per-line zero-sum precheck, the quotient is
-a segmented negated prefix sum over the dense range of line positions.
+- sparse: parallel arrays of packed monomial keys (five 12-bit lanes, one
+  per variable) and coefficients, plus per-lane bounds on the exponents;
+- dense: an array over the numerator's exponent bounding box, plus the lane
+  values of its origin cell. All terms of a product of weight binomials
+  have the same parity in each lane, so one cell is 2 lane units wide.
+
+Each merge of the tree picks its layout from what it can measure: it goes
+dense when both operands share per-lane parity and the predicted box of the
+sum has at most _DENSE_FILL cells per operand term and at most _DENSE_CELLS
+cells; otherwise it stays sparse. The layout changes neither the merge
+order nor the trial divisions, so both give the same result.
+
+All arithmetic is integer arithmetic. Exactness is kept by range checks:
+every coefficient stays below _COEFF_LIMIT; sparse lanes are checked
+against the true lane range before every shift (bounds carried per array,
+recomputed from the keys when they cross it) and on every dense-to-sparse
+conversion; leaf exponents must lie within _EXP_LIMIT. A violation raises
+FastSumUnavailable, and vertexk then sums with the exact dict-based
+engine. Set KVERTEX_PURE=1 to force that engine everywhere.
+
+Division by a weight binomial t^m - t^(-m) is exact or fails (None). The
+sparse layout works line by line along the exponent direction 2m: after a
+per-line zero-sum precheck, the quotient is a segmented negated prefix sum
+over the dense range of line positions. The dense layout first checks the
+sums over classes of lines, then sweeps the recursion
+q(x) = q(x - 2m) - (t^m f)(x) along the leading lane of m, one slab
+operation per step; it fails when the sweep leaves anything outside the
+quotient box.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .exactalg import _unpack, _pack, LaurentPoly
+from .exactalg import _LANE as _BIG_LANE, _OFF as _BIG_OFF, _SHIFTS as _BIG_SHIFTS
 
 _LANE = 12
 _OFF = 1 << (_LANE - 1)
@@ -25,12 +49,19 @@ _MASK = (1 << _LANE) - 1
 _SHIFTS = tuple(_LANE * (4 - i) for i in range(5))
 _ZERO = sum(_OFF << s for s in _SHIFTS)
 _EXP_LIMIT = _OFF - 64
+# A packed lane holds exactly the values -2048..2047.
+_LANE_MIN = -_OFF
+_LANE_MAX = _OFF - 1
 # Every stored coefficient stays below 2^61. The only summations are
-# combines of two arrays with unique keys (bounded by 2 * 2^61 < 2^63) and
-# the per-line prefix sums inside division, which carry their own dynamic
-# max * run-length bound; int64 arithmetic therefore never wraps.
+# combines of two arrays with unique keys or two boxes (bounded by
+# 2 * 2^61 < 2^63) and the running sums inside division, which carry their
+# own dynamic max * run-length bound; int64 arithmetic therefore never wraps.
 _COEFF_LIMIT = 1 << 61
 _SUM_LIMIT = 1 << 62
+# A merge goes dense when its predicted box has at most this many cells per
+# operand term, and at most _DENSE_CELLS cells in all.
+_DENSE_FILL = 8
+_DENSE_CELLS = 1 << 22
 
 
 class FastSumUnavailable(Exception):
@@ -52,9 +83,49 @@ def _big_from_small(k):
     return _pack(tuple(((k >> s) & _MASK) - _OFF for s in _SHIFTS))
 
 
+@lru_cache(maxsize=4096)
+def _lane_vec(m):
+    """Lane values of a small-packed key."""
+    return tuple(((m >> s) & _MASK) - _OFF for s in _SHIFTS)
+
+
+def _lanes(keys):
+    """(5, n) lane values of small-packed keys."""
+    return np.stack([((keys >> s) & _MASK) - _OFF for s in _SHIFTS])
+
+
 def _check_coeffs(coeffs):
-    if len(coeffs) and np.abs(coeffs).max() >= _COEFF_LIMIT:
+    if coeffs.size and (coeffs.max() >= _COEFF_LIMIT or coeffs.min() <= -_COEFF_LIMIT):
         raise FastSumUnavailable("coefficient out of range")
+
+
+def _check_lanes(lo, hi):
+    if min(lo) < _LANE_MIN or max(hi) > _LANE_MAX:
+        raise FastSumUnavailable("exponent out of lane range")
+
+
+# -- sparse layout ------------------------------------------------------------
+
+
+class _Sparse:
+    """Sorted unique packed keys, nonzero coefficients, and per-lane bounds:
+    every term has lo <= lane value <= hi. The bounds may be loose, and with
+    no terms lo > hi."""
+
+    __slots__ = ("keys", "coeffs", "lo", "hi")
+
+    def __init__(self, keys, coeffs, lo, hi):
+        self.keys = keys
+        self.coeffs = coeffs
+        self.lo = lo
+        self.hi = hi
+
+    def is_zero(self):
+        return self.keys.size == 0
+
+
+_EMPTY = _Sparse(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                 (_OFF,) * 5, (-_OFF - 1,) * 5)
 
 
 def _dedupe(keys, coeffs):
@@ -76,35 +147,50 @@ def _dedupe(keys, coeffs):
 
 
 def _add(a, b):
-    keys = np.concatenate((a[0], b[0]))
-    coeffs = np.concatenate((a[1], b[1]))
-    return _dedupe(keys, coeffs)
+    keys, coeffs = _dedupe(np.concatenate((a.keys, b.keys)),
+                           np.concatenate((a.coeffs, b.coeffs)))
+    return _Sparse(keys, coeffs, tuple(map(min, a.lo, b.lo)), tuple(map(max, a.hi, b.hi)))
 
 
 def _mul_binomial(arr, m):
     """arr * (t^m - t^(-m)) for a small-packed key m."""
-    keys, coeffs = arr
+    if arr.is_zero():
+        return arr
+    am = [abs(x) for x in _lane_vec(m)]
+    lo = tuple(x - a for x, a in zip(arr.lo, am))
+    hi = tuple(x + a for x, a in zip(arr.hi, am))
+    if min(lo) < _LANE_MIN or max(hi) > _LANE_MAX:
+        lanes = _lanes(arr.keys)
+        lo = tuple(int(x) - a for x, a in zip(lanes.min(axis=1), am))
+        hi = tuple(int(x) + a for x, a in zip(lanes.max(axis=1), am))
+        _check_lanes(lo, hi)
+    keys, coeffs = arr.keys, arr.coeffs
     d = m - _ZERO
-    return _dedupe(
+    keys, coeffs = _dedupe(
         np.concatenate((keys + d, keys - d)),
         np.concatenate((coeffs, -coeffs)),
     )
+    return _Sparse(keys, coeffs, lo, hi)
 
 
-def _mul_binomials(arr, m, e):
-    for _ in range(e):
-        arr = _mul_binomial(arr, m)
-    return arr
-
-
-def _lane_info(m):
-    """(lane shift, component value) for the leading nonzero lane of the
-    half-weight key m."""
-    e = _unpack(_big_from_small(m))
-    for i in range(5):
-        if e[i]:
-            return _SHIFTS[i], e[i]
+def _lead(mv):
+    """Index of the leading nonzero lane of a weight direction."""
+    for i, x in enumerate(mv):
+        if x:
+            return i
     raise ValueError("trivial weight direction")
+
+
+def _line_keys_collide(lo, hi, mv, lead):
+    """Whether two lines along m could get the same key in _divide_binomial.
+
+    A line is keyed by the packed form of its point whose leading lane lies
+    in [0, 2 m_lead); distinct points pack to distinct keys while each of
+    their other lanes spans at most 2^12 - 1 values."""
+    step = 2 * mv[lead]
+    jspan = abs((hi[lead] + mv[lead]) // step - (lo[lead] + mv[lead]) // step)
+    return any(h - x + 2 * abs(y) * jspan > _MASK
+               for i, (x, h, y) in enumerate(zip(lo, hi, mv)) if i != lead)
 
 
 def _divide_binomial(arr, m):
@@ -114,15 +200,23 @@ def _divide_binomial(arr, m):
     along the direction 2m, reject unless every line sums to zero, then
     take negated running prefix sums along each line (dense across gaps).
     """
-    keys, coeffs = arr
+    keys, coeffs = arr.keys, arr.coeffs
     if keys.size == 0:
         return arr
+    mv = _lane_vec(m)
     d = m - _ZERO
     mu = 2 * d
-    s0, halfstep = _lane_info(m)
+    lead = _lead(mv)
+    halfstep = mv[lead]
     step = 2 * halfstep
+    if _line_keys_collide(arr.lo, arr.hi, mv, lead):
+        lanes = _lanes(keys)
+        arr.lo = tuple(lanes.min(axis=1).tolist())
+        arr.hi = tuple(lanes.max(axis=1).tolist())
+        if _line_keys_collide(arr.lo, arr.hi, mv, lead):
+            raise FastSumUnavailable("exponent out of lane range")
     shifted = keys + d
-    lane = ((shifted >> s0) & _MASK) - _OFF
+    lane = ((keys >> _SHIFTS[lead]) & _MASK) - _OFF + halfstep
     j = lane // step
     base = shifted - j * mu
     order = np.lexsort((j, base))
@@ -161,23 +255,223 @@ def _divide_binomial(arr, m):
     nz = q != 0
     qnz = q[nz]
     _check_coeffs(qnz)
-    return _dedupe(keys_out[nz], qnz)
+    keys_out, qnz = _dedupe(keys_out[nz], qnz)
+    am = [abs(x) for x in mv]
+    return _Sparse(keys_out, qnz, tuple(x + a for x, a in zip(arr.lo, am)),
+                   tuple(x - a for x, a in zip(arr.hi, am)))
+
+
+# -- dense layout -------------------------------------------------------------
+
+
+class _Dense:
+    """Coefficient of the monomial with lane values origin + 2 * index at
+    arr[index]. The box is tight: every face holds a nonzero coefficient."""
+
+    __slots__ = ("origin", "arr")
+
+    def __init__(self, origin, arr):
+        self.origin = origin
+        self.arr = arr
+
+    def is_zero(self):
+        return False
+
+    def top(self):
+        return tuple(o + 2 * (n - 1) for o, n in zip(self.origin, self.arr.shape))
+
+
+def _box(start, shape):
+    return tuple(slice(s, s + n) for s, n in zip(start, shape))
+
+
+def _trim(origin, arr):
+    """Dense numerator over the support of arr, or _EMPTY."""
+    cut = []
+    for ax in range(5):
+        lo, hi = 0, arr.shape[ax]
+        view = np.moveaxis(arr, ax, 0)
+        while lo < hi and not view[lo].any():
+            lo += 1
+        if lo == hi:
+            return _EMPTY
+        while not view[hi - 1].any():
+            hi -= 1
+        cut.append(slice(lo, hi))
+        arr = np.moveaxis(view[lo:hi], 0, ax)
+    return _Dense(tuple(o + 2 * c.start for o, c in zip(origin, cut)), arr)
+
+
+def _dense_mul(dn, m):
+    """dn * (t^m - t^(-m)): two shifted slab writes into a box grown by |m|."""
+    mv = _lane_vec(m)
+    arr = dn.arr
+    out = np.zeros(tuple(n + abs(x) for n, x in zip(arr.shape, mv)), dtype=np.int64)
+    out[_box([max(x, 0) for x in mv], arr.shape)] += arr
+    out[_box([max(-x, 0) for x in mv], arr.shape)] -= arr
+    _check_coeffs(out)
+    return _Dense(tuple(o - abs(x) for o, x in zip(dn.origin, mv)), out)
+
+
+def _dense_add(a, b):
+    """a + b in the union of their boxes (same per-lane parity), trimmed."""
+    lo = tuple(map(min, a.origin, b.origin))
+    hi = tuple(map(max, a.top(), b.top()))
+    out = np.zeros(tuple((h - x) // 2 + 1 for x, h in zip(lo, hi)), dtype=np.int64)
+    for x in (a, b):
+        out[_box([(o - s) // 2 for o, s in zip(x.origin, lo)], x.arr.shape)] += x.arr
+    _check_coeffs(out)
+    return _trim(lo, out)
+
+
+def _dense_divide(dn, m):
+    """Exact quotient dn / (t^m - t^(-m)), or None.
+
+    With a = max(m, 0) and b = max(-m, 0) per lane in cells, the product
+    q * (t^m - t^(-m)) has f[i] = q[i - a] - q[i - b], so r[i] = q[i - b]
+    obeys r[i] = r[i - m] - f[i] over the box of f. The sweep runs along the
+    leading lane L of m, |m_L| slabs per step; q exists exactly when r
+    vanishes outside the quotient box, which is the box of f shrunk by |m|.
+    """
+    mv = _lane_vec(m)
+    lead = _lead(mv)
+    if mv[lead] < 0:
+        q = _dense_divide(dn, 2 * _ZERO - m)
+        if q is not None:
+            q.arr = -q.arr
+        return q
+    f = dn.arr
+    shape = f.shape
+    if any(abs(x) >= n for x, n in zip(mv, shape)):
+        return None
+    # Every line i + k m keeps i_L mod m_L and the lanes where m is 0, so
+    # the coefficients in each such class sum to zero when the division is
+    # exact. The sums may wrap, which keeps a zero sum zero.
+    step = mv[lead]
+    moving = tuple(ax for ax in range(5) if mv[ax] and ax != lead)
+    cls = f.sum(axis=moving, keepdims=True) if moving else f
+    cls = np.moveaxis(cls, lead, 0)
+    if step > 1:
+        pad = -shape[lead] % step
+        if pad:
+            cls = np.concatenate((cls, np.zeros((pad,) + cls.shape[1:], dtype=np.int64)))
+        cls = cls.reshape((-1, step) + cls.shape[1:])
+    if cls.sum(axis=0).any():
+        return None
+    runs = -(-shape[lead] // step)
+    max_abs = max(int(f.max()), -int(f.min()))
+    if max_abs and runs > _SUM_LIMIT // max_abs:
+        raise FastSumUnavailable("prefix sums could overflow")
+    r = -f
+    tgt = [slice(max(x, 0), n + min(x, 0)) for x, n in zip(mv, shape)]
+    src = [slice(max(-x, 0), n - max(x, 0)) for x, n in zip(mv, shape)]
+    for s in range(step, shape[lead], step):
+        w = min(step, shape[lead] - s)
+        tgt[lead] = slice(s, s + w)
+        src[lead] = slice(s - step, s - step + w)
+        r[tuple(tgt)] += r[tuple(src)]
+    inner = []
+    for ax, (x, n) in enumerate(zip(mv, shape)):
+        b = max(-x, 0)
+        inner.append(slice(b, b + n - abs(x)))
+        if x:
+            sl = [slice(None)] * 5
+            sl[ax] = slice(n - x, n) if x > 0 else slice(0, b)
+            if r[tuple(sl)].any():
+                return None
+    q = r[tuple(inner)]
+    _check_coeffs(q)
+    return _Dense(tuple(o + abs(x) for o, x in zip(dn.origin, mv)), q)
+
+
+# -- layout choice and conversions ----------------------------------------------
+
+
+def _shares_parity(arr):
+    """Whether all terms of a numerator have the same parity in each lane."""
+    if isinstance(arr, _Dense):
+        return True
+    lanes = _lanes(arr.keys)
+    return not ((lanes - lanes[:, :1]) & 1).any()
+
+
+def _goes_dense(a, grow_a, b, grow_b):
+    """Whether the sum of a and b, each times its catch-up binomials
+    (m, e), fits the dense layout. A sparse operand's box comes from its
+    carried bounds, which are loose only where an add cancelled terms at
+    the edge of the box."""
+    if a.is_zero() or b.is_zero():
+        return False
+    boxes = []
+    terms = 0
+    for arr, grow in ((a, grow_a), (b, grow_b)):
+        if isinstance(arr, _Dense):
+            lo, hi, n = arr.origin, arr.top(), int(np.count_nonzero(arr.arr))
+        else:
+            lo, hi, n = arr.lo, arr.hi, arr.keys.size
+        g = [0] * 5
+        for m, e in grow:
+            g = [x + e * abs(y) for x, y in zip(g, _lane_vec(m))]
+        boxes.append(([x - y for x, y in zip(lo, g)], [x + y for x, y in zip(hi, g)]))
+        terms += n
+    (lo_a, hi_a), (lo_b, hi_b) = boxes
+    if any((x - y) % 2 for x, y in zip(lo_a, lo_b)):
+        return False
+    cells = 1
+    for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b):
+        cells *= (max(ha, hb) - min(la, lb)) // 2 + 1
+    if cells > min(_DENSE_FILL * terms, _DENSE_CELLS):
+        return False
+    return _shares_parity(a) and _shares_parity(b)
+
+
+def _to_dense(arr):
+    """A nonzero numerator in the dense layout; a sparse one must have the
+    same parity in each lane across its terms."""
+    if isinstance(arr, _Dense):
+        return arr
+    lanes = _lanes(arr.keys)
+    lo = lanes.min(axis=1)
+    idx = (lanes - lo[:, None]) >> 1
+    out = np.zeros(tuple(idx.max(axis=1) + 1), dtype=np.int64)
+    out[tuple(idx)] = arr.coeffs
+    return _Dense(tuple(lo.tolist()), out)
+
+
+def _to_sparse(arr):
+    if not isinstance(arr, _Dense):
+        return arr
+    lo, hi = arr.origin, arr.top()
+    _check_lanes(lo, hi)
+    idx = np.nonzero(arr.arr)
+    keys = np.full(idx[0].size, _ZERO, dtype=np.int64)
+    for i, o, s in zip(idx, lo, _SHIFTS):
+        keys += (o + 2 * i) << s
+    return _Sparse(keys, arr.arr[idx], lo, hi)
+
+
+def _divide(arr, m):
+    if isinstance(arr, _Dense):
+        return _dense_divide(arr, m)
+    return _divide_binomial(arr, m)
+
+
+# -- merge tree ---------------------------------------------------------------
 
 
 def _pair_reduce(arr, den, candidates=None):
-    keys, coeffs = arr
-    if keys.size == 0:
+    if arr.is_zero():
         den.clear()
         return arr, den
     todo = list(den) if candidates is None else [m for m in candidates if m in den]
     for m in todo:
         while den.get(m, 0) > 0:
-            q = _divide_binomial(arr, m)
+            q = _divide(arr, m)
             if q is None:
                 break
             arr = q
             den[m] -= 1
-            if arr[0].size == 0:
+            if arr.is_zero():
                 den.clear()
                 return arr, den
         if den.get(m) == 0:
@@ -196,30 +490,56 @@ def _pair_add(a, b, full=False):
             lcm[m] = e
         if have == e:
             candidates.append(m)
-    xa, xb = arr_a, arr_b
-    for m, e in lcm.items():
-        extra = e - den_a.get(m, 0)
-        if extra:
-            xa = _mul_binomials(xa, m, extra)
-        extra = e - den_b.get(m, 0)
-        if extra:
-            xb = _mul_binomials(xb, m, extra)
-    return _pair_reduce(_add(xa, xb), lcm, None if full else candidates)
+    grow_a = [(m, e - den_a.get(m, 0)) for m, e in lcm.items() if e > den_a.get(m, 0)]
+    grow_b = [(m, e - den_b.get(m, 0)) for m, e in lcm.items() if e > den_b.get(m, 0)]
+    if _goes_dense(arr_a, grow_a, arr_b, grow_b):
+        layout, mul, add = _to_dense, _dense_mul, _dense_add
+    else:
+        layout, mul, add = _to_sparse, _mul_binomial, _add
+    xa, xb = layout(arr_a), layout(arr_b)
+    for m, e in grow_a:
+        for _ in range(e):
+            xa = mul(xa, m)
+    for m, e in grow_b:
+        for _ in range(e):
+            xb = mul(xb, m)
+    return _pair_reduce(add(xa, xb), lcm, None if full else candidates)
 
 
 def _leaf(fw):
-    """FactoredWeight -> (array, denominator dict) in small packing."""
-    num_keys = np.array([_ZERO], dtype=np.int64)
-    num_coeffs = np.array([fw.sign], dtype=np.int64)
-    arr = (num_keys, num_coeffs)
+    """FactoredWeight -> (sparse numerator, denominator dict) in small packing."""
+    arr = _Sparse(np.array([_ZERO], dtype=np.int64), np.array([fw.sign], dtype=np.int64),
+                  (0,) * 5, (0,) * 5)
     den = {}
     for mbig, e in sorted(fw.fac.items()):
         m = _small_from_big(mbig)
         if e > 0:
-            arr = _mul_binomials(arr, m, e)
+            for _ in range(e):
+                arr = _mul_binomial(arr, m)
         else:
             den[m] = -e
     return arr, den
+
+
+def _to_poly(arr):
+    """Numerator in either layout as a LaurentPoly (big packing)."""
+    if isinstance(arr, _Dense):
+        idx = np.nonzero(arr.arr)
+        lanes = [o + 2 * i for o, i in zip(arr.origin, idx)]
+        coeffs = arr.arr[idx]
+    else:
+        lanes = list(_lanes(arr.keys))
+        coeffs = arr.coeffs
+    # A big key has five 24-bit lanes: lanes 0-1 and lanes 3-4 are packed
+    # in int64, and only the three parts are joined as Python ints.
+    v = [x + _BIG_OFF for x in lanes]
+    high = ((v[0] << _BIG_LANE) + v[1]).tolist()
+    mid = v[2].tolist()
+    low = ((v[3] << _BIG_LANE) + v[4]).tolist()
+    return LaurentPoly({
+        (h << _BIG_SHIFTS[1]) + (x << _BIG_SHIFTS[2]) + lw: c
+        for h, x, lw, c in zip(high, mid, low, coeffs.tolist())
+    })
 
 
 def sum_factored(fws):
@@ -237,8 +557,5 @@ def sum_factored(fws):
         if len(pairs) % 2:
             merged.append(pairs[-1])
         pairs = merged
-    (keys, coeffs), den = _pair_reduce(*pairs[0])
-    num = LaurentPoly(
-        {_big_from_small(k): int(c) for k, c in zip(keys.tolist(), coeffs.tolist())}
-    )
-    return num, {_big_from_small(m): e for m, e in den.items()}
+    arr, den = _pair_reduce(*pairs[0])
+    return _to_poly(arr), {_big_from_small(m): e for m, e in den.items()}

@@ -73,10 +73,6 @@ class VertexChar:
 
     poly: LaurentPoly
 
-    def weights(self):
-        """Sorted (doubled exponent tuple, multiplicity) pairs."""
-        return self.poly.terms()
-
 
 def _vertex_invariant_errors(v):
     if not all(isinstance(c, int) for _, c in v.d.items()):
@@ -88,16 +84,6 @@ def _vertex_invariant_errors(v):
     if v.bar() != LaurentPoly.const(-1) * KAPPA * v:
         return "symmetry violation"
     return None
-
-
-def _certify(vrf):
-    if not vrf.is_poly():
-        raise ArithmeticError("pole not cleared")
-    v = vrf.num
-    err = _vertex_invariant_errors(v)
-    if err:
-        raise ArithmeticError(err)
-    return VertexChar(v)
 
 
 _P3 = (ONE - LaurentPoly.var(0)) * (ONE - LaurentPoly.var(1)) * (ONE - LaurentPoly.var(2))
@@ -484,9 +470,6 @@ def pt_vertex_series(l1=(), l2=(), l3=(), order=0, jobs=1, guard=2, dt=None, dt0
         dt0 = dt_vertex_series(order=work, jobs=jobs)
     quot = dt.series.truncate(work) / dt0.series.truncate(work)
     return VertexSeries("PT", legs, quot.truncate(order))
-
-
-_W_RATIO_CACHE = {}
 
 
 def _framing_ratio_exps(framing, b, a):

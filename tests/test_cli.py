@@ -1,16 +1,18 @@
 """Command-line surface: parsing, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "kvertex.cli", *args],
         capture_output=True,
         text=True,
         timeout=600,
+        env=None if env is None else {**os.environ, **env},
     )
     return proc
 
@@ -21,6 +23,12 @@ def test_usage_errors_exit_2():
     assert run_cli("dt-vertex", "--legs", "1;2", "--order", "1").returncode == 2
     assert run_cli("no-such-command").returncode == 2
     assert run_cli("dt-vertex", "--order", "1", "--bogus-flag").returncode == 2
+
+
+def test_bad_guard_order_is_usage_error():
+    proc = run_cli("pt-vertex", "--order", "1", env={"KVERTEX_GUARD_ORDER": "abc"})
+    assert proc.returncode == 2
+    assert "usage error" in proc.stderr and "KVERTEX_GUARD_ORDER" in proc.stderr
 
 
 def test_dt_vertex_json_deterministic(tmp_path):

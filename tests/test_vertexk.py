@@ -184,16 +184,113 @@ def test_jobs_do_not_change_results():
     assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
 
 
-def test_pure_engine_matches_fast_engine():
+def _quot_weights(m, framing=None):
     import kvertex.vertexk as vk
+    from kvertex.boxconfig import enumerate_quot_pairs
 
-    for n in range(0, 5):
-        fws = [vk._config_weight(c) for c in plane_partitions(n)]
-        from kvertex import fastsum
+    ratios = {
+        (0, 1): vk._framing_ratio_exps(framing, 1, 0),
+        (1, 0): vk._framing_ratio_exps(framing, 0, 1),
+    }
+    return [vk._quot_weight((pair, ratios)) for pair in enumerate_quot_pairs(m)]
 
+
+def test_pure_engine_matches_fast_engine(monkeypatch):
+    import kvertex.vertexk as vk
+    from kvertex import fastsum
+
+    layouts = set()
+    goes_dense = fastsum._goes_dense
+
+    def spy(*args):
+        dense = goes_dense(*args)
+        layouts.add(dense)
+        return dense
+
+    monkeypatch.setattr(fastsum, "_goes_dense", spy)
+    framed = (ONE, LaurentPoly.term(1, (10, 6, -4, 0, 0)))
+    cases = (
+        [list(enumerate_configs((), (), (), n)) for n in range(6)]
+        + [list(enumerate_configs((1,), (), (), n)) for n in range(4)]
+    )
+    weights = [[vk._config_weight(c) for c in configs] for configs in cases]
+    weights += [_quot_weights(m) for m in range(3)]
+    weights += [_quot_weights(m, framed) for m in range(3)]
+    seen = []
+    for fws in weights:
+        layouts.clear()
         fast = fastsum.sum_factored(fws)
         pure = vk._sum_factored(fws)
         assert fast[0] == pure[0] and fast[1] == pure[1]
+        seen.append(frozenset(layouts))
+    # some sums merge only densely (0-leg), some only sparsely (quot2
+    # symbolic), and some mix the two layouts (framed quot2)
+    assert {frozenset({True}), frozenset({False}), frozenset({True, False})} <= set(seen)
+
+
+def _numerator(*factors):
+    """Sparse fastsum numerator of prod (t^m - t^(-m))^e over (m, e)."""
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+    from kvertex.vertexk import FactoredWeight
+
+    fw = FactoredWeight(1, {_pack(m): e for m, e in factors})
+    return fastsum._leaf(fw)[0]
+
+
+def test_dense_division_matches_sparse_division():
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+
+    directions = [(1, -1, 0, 0, 0), (2, 1, -1, 0, 0), (0, 0, 1, -1, 2), (3, 0, 0, 0, 0)]
+    others = [(1, 2, 0, 0, 0), (0, 1, 1, 0, 0), (1, 0, -2, 1, 0)]
+    for m in directions:
+        key = fastsum._small_from_big(_pack(m))
+        prod = _numerator((m, 2), *[(o, 1) for o in others])
+        dense = fastsum._to_dense(prod)
+        q_dense = fastsum._dense_divide(dense, key)
+        q_sparse = fastsum._divide_binomial(prod, key)
+        assert q_dense is not None and q_sparse is not None
+        assert fastsum._to_poly(q_dense) == fastsum._to_poly(q_sparse)
+        once = _numerator((m, 1), *[(o, 1) for o in others])
+        assert fastsum._to_poly(q_dense) == fastsum._to_poly(once)
+        # without the factor, neither layout divides
+        rest = _numerator(*[(o, 1) for o in others])
+        assert fastsum._dense_divide(fastsum._to_dense(rest), key) is None
+        assert fastsum._divide_binomial(rest, key) is None
+
+
+def test_sparse_lanes_never_carry():
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+
+    m = fastsum._small_from_big(_pack((1900, 0, 0, 0, 0)))
+    one = _numerator(((1900, 0, 0, 0, 0), 1))
+    with pytest.raises(fastsum.FastSumUnavailable):
+        fastsum._mul_binomial(one, m)
+
+
+def test_sparse_division_never_merges_lines():
+    # The lines through p + m and q + m along 2m get the same packed key
+    # when grouped; their sums, 1 and -1, must not be checked together.
+    import numpy as np
+
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+
+    m, p, q = (1, 40, 0, 0, 0), (-1899, 40, 0, 0, 0), (-1842, -1816, 0, 0, 0)
+    keys = np.array([fastsum._small_from_big(_pack(x)) for x in (p, q)])
+    f = fastsum._Sparse(keys, np.array([1, -1]), (-2048,) * 5, (2047,) * 5)
+    with pytest.raises(fastsum.FastSumUnavailable):
+        fastsum._divide_binomial(f, fastsum._small_from_big(_pack(m)))
+
+
+@pytest.mark.parametrize("exps", [(292, 0, 0), (500, 3, -2)])
+def test_framing_beyond_lane_range_matches_symbolic(exps):
+    symbolic = quot2_vertex_series(2)
+    w = LaurentPoly.term(1, tuple(2 * x for x in exps) + (0, 0))
+    framed = quot2_vertex_series(2, framing=(ONE, w))
+    assert framed.series.eq_through(symbolic.series, 2)
 
 
 def test_pure_env_flag(monkeypatch):
