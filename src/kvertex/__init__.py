@@ -1,7 +1,7 @@
 """kvertex: exact equivariant box-counting vertex series and the
 combinatorial wall-crossing identities relating them."""
 
-from .exactalg import LaurentPoly, QSeries, RatFunc, bar, ratfunc_normalize, series_div
+from .exactalg import LaurentPoly, QSeries, RatFunc, bar, ratfunc_normalize
 from .qcombi import (
     check_identity,
     enumerate_words,
@@ -44,7 +44,6 @@ __all__ = [
     "RatFunc",
     "bar",
     "ratfunc_normalize",
-    "series_div",
     "check_identity",
     "enumerate_words",
     "quantum_factorial",

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .exactalg import ONE, LaurentPoly, RatFunc
 
-TRANSVERSE = ((1, 2), (2, 0), (0, 1))
 # Transverse axis pairs per axis, lower-numbered first:
 # axis 0 -> rows on axis 1, columns on axis 2, etc.
 _AXPAIR = ((1, 2), (0, 2), (0, 1))
@@ -26,10 +25,6 @@ def in_leg(leg, axis, box):
     row_axis, col_axis = _AXPAIR[axis]
     r, s = box[row_axis], box[col_axis]
     return r < len(leg) and s < leg[r]
-
-
-def in_any_leg(legs, box):
-    return any(in_leg(legs[i], i, box) for i in range(3))
 
 
 def leg_reach(legs):

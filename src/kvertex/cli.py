@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import qcombi, vertexk, wallcross
-from .qcombi import parse_partition
+from .qcombi import compositions, multisets_le3, parse_partition
 
 
 class UsageError(Exception):
@@ -78,35 +78,13 @@ def _suite_instances(suite, max_n):
                 yield {"m": m, "n": total - m}
     elif suite == "qmultinom":
         for total in range(1, max_n + 1):
-            for mvec in _compositions(total):
+            for mvec in compositions(total):
                 yield {"mvec": list(mvec)}
     else:
         for total in range(1, min(6, max_n - 1) + 1):
-            for mvec in _partitions_le3(total):
+            for mvec in multisets_le3(total):
                 for N in range(total + 1, max_n + 1):
                     yield {"mvec": list(mvec), "N": N}
-
-
-def _compositions(total):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
-
-
-def _partitions_le3(total):
-    """Multisets (weakly decreasing) of at most three positive parts."""
-    for a in range(total, 0, -1):
-        if a == total:
-            yield (a,)
-        for b in range(min(a, total - a), 0, -1):
-            if a + b == total:
-                yield (a, b)
-            c = total - a - b
-            if 0 < c <= b:
-                yield (a, b, c)
 
 
 def run_suite(suite, max_n):
@@ -202,7 +180,7 @@ def cmd_check_wcf(args, out):
     )
     joyce = wallcross.joyce_check(order, N)
     mochizuki = wallcross.mochizuki_check(order, N)
-    pt_structural = wallcross.wall_transfer_series(order, N, sign="+").eq_through(
+    pt_structural = wallcross.wall_transfer_series(order, N, "B").eq_through(
         wallcross.shifted_product_series(order), order
     )
     payload = {

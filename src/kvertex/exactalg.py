@@ -412,10 +412,7 @@ ONE = LaurentPoly.const(1)
 T1 = LaurentPoly.var(0)
 T2 = LaurentPoly.var(1)
 T3 = LaurentPoly.var(2)
-W1 = LaurentPoly.var(3)
-W2 = LaurentPoly.var(4)
 KAPPA = LaurentPoly.term(1, (2, 2, 2, 0, 0))
-KAPPA_SQRT = LaurentPoly.term(1, (1, 1, 1, 0, 0))
 KAPPA_MINUS_ONE = KAPPA - ONE
 
 
@@ -688,11 +685,6 @@ class RatFunc:
     def is_poly(self):
         return not self.fac
 
-    def as_poly(self):
-        if self.fac:
-            raise ValueError("denominator is nontrivial")
-        return self.num
-
     def as_constant(self):
         """Constant rational value, or None."""
         if self.fac:
@@ -958,9 +950,6 @@ class QSeries:
                 coeffs[n - lo] = coeffs[n - lo] + a * b
         return QSeries(lo, coeffs, hi)
 
-    def scale(self, c):
-        return QSeries(self.min_power, [x * c for x in self.coeffs], self.trunc)
-
     def _lead_inverse(self):
         lead = self.coeffs[0]
         if isinstance(lead, (int, Fraction)):
@@ -1003,9 +992,6 @@ class QSeries:
                 coeffs.append(c * inv ** (-n))
         return QSeries(self.min_power, coeffs, self.trunc)
 
-    def map_coeffs(self, fn):
-        return QSeries(self.min_power, [fn(c) for c in self.coeffs], self.trunc)
-
     def eq_through(self, other, order):
         """Exact coefficientwise equality through the given order."""
         if order > self.trunc or order > other.trunc:
@@ -1030,9 +1016,3 @@ class QSeries:
             n = self.min_power + i
             parts.append("Q^%d: %s" % (n, c))
         return "{ " + ", ".join(parts) + " }"
-
-
-def series_div(a, b):
-    """Quotient of truncated series; b must have a nonzero leading
-    coefficient at its min_power."""
-    return a / b

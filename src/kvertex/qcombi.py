@@ -37,6 +37,31 @@ def parse_partition(text):
     return partition(int(x) for x in text.split(","))
 
 
+def compositions(total):
+    """Ordered tuples of positive integers with the given sum, in
+    lexicographic order; the empty tuple for total 0."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+def multisets_le3(total):
+    """Weakly decreasing tuples of at most three positive parts with the
+    given sum, largest first part first."""
+    for a in range(total, 0, -1):
+        if a == total:
+            yield (a,)
+        for b in range(min(a, total - a), 0, -1):
+            if a + b == total:
+                yield (a, b)
+            c = total - a - b
+            if 0 < c <= b:
+                yield (a, b, c)
+
+
 # -- kappa-dict helpers ---------------------------------------------------
 
 def _kd_mul(a, b):
@@ -133,27 +158,6 @@ def enumerate_words(mvec):
                 counts[letter - 1] += 1
 
     return rec()
-
-
-def multiplicities(w, nletters=None):
-    if nletters is None:
-        nletters = max(w) if w else 0
-    m = [0] * nletters
-    for x in w:
-        m[x - 1] += 1
-    return tuple(m)
-
-
-def occurrences(w, letter):
-    """Ascending 1-based index set of the letter's occurrences."""
-    return tuple(p for p, x in enumerate(w, start=1) if x == letter)
-
-
-def first_occurrence(w, letter):
-    for p, x in enumerate(w, start=1):
-        if x == letter:
-            return p
-    raise ValueError("letter %d does not occur" % letter)
 
 
 def c_word(w, i, j):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .boxconfig import (
+    _AXPAIR,
     enumerate_configs,
     enumerate_quot_pairs,
     leg_diagram_poly,
@@ -39,8 +40,6 @@ from .exactalg import (
     _poly_key,
     divide_exact,
 )
-
-_AXVARS = ((1, 2), (0, 2), (0, 1))
 
 
 def leg_tangent(leg, axes):
@@ -86,17 +85,7 @@ def _vertex_invariant_errors(v):
     return None
 
 
-_P3 = (ONE - LaurentPoly.var(0)) * (ONE - LaurentPoly.var(1)) * (ONE - LaurentPoly.var(2))
-_KINV = LaurentPoly.term(1, (-2, -2, -2, 0, 0))
 _ONE_MINUS_T = tuple(ONE - LaurentPoly.var(i) for i in range(3))
-
-
-def _tangent_functional(q_to, q_from_bar):
-    """Q_b - bar(Q_a)/kappa + Q_b bar(Q_a) (1-t1)(1-t2)(1-t3)/kappa, the
-    bilinear block of the virtual tangent character."""
-    return q_to - (q_from_bar - q_to * q_from_bar * _P3) * _KINV
-
-
 _ONE_MINUS_TINV = tuple(p.bar() for p in _ONE_MINUS_T)
 
 
@@ -111,7 +100,7 @@ def _cleared_character(config):
     for axis in axes:
         a = a * _ONE_MINUS_T[axis]
     for axis in axes:
-        tail = leg_diagram_poly(config.legs[axis], _AXVARS[axis]) * LaurentPoly.var(
+        tail = leg_diagram_poly(config.legs[axis], _AXPAIR[axis]) * LaurentPoly.var(
             axis, 2 * config.bound
         )
         for other in axes:
@@ -164,7 +153,7 @@ def _certified_vertex(num):
 @lru_cache(maxsize=None)
 def _leg_block(leg, axis):
     """Leg tangent times the complementary denominator factors."""
-    t = leg_tangent(leg, _AXVARS[axis])
+    t = leg_tangent(leg, _AXPAIR[axis])
     for other in range(3):
         if other != axis:
             t = t * _ONE_MINUS_T[other]

@@ -21,6 +21,7 @@ from .exactalg import LaurentPoly, QSeries, RatFunc
 from .qcombi import (
     _word_stats,
     c_word,
+    compositions,
     enumerate_words,
     quantum_factorial,
     quantum_int,
@@ -195,22 +196,67 @@ def _qfact_rf(n):
     return RatFunc.from_poly(quantum_factorial(n))
 
 
-def _compositions(total, max_parts=None):
-    """Ordered tuples of positive integers with the given sum."""
-    if total == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first, None if max_parts is None else max_parts - 1):
-            yield (first,) + rest
-
-
 def _hilb_monomial(mvec):
     return FormalExpr(
         {tuple(sorted((HILB, m) for m in mvec)): RatFunc.one()}
     )
+
+
+def _shifted_word_sum(full):
+    """Negative control: the LT word sum with the inner index sum shifted
+    by one (drops the adjacent-letter pairing term)."""
+    ell = len(full)
+    total = LaurentPoly.zero()
+    for w in enumerate_words(full):
+        o, s = _word_stats(w, ell)
+        if not all(o[i] < o[i + 1] for i in range(1, ell - 1)):
+            continue
+        prod = LaurentPoly.const(1)
+        for i in range(1, ell):
+            prod = prod * quantum_int(full[i - 1] - s[i] + c_word(w, i, i + 1))
+        total = total + prod
+    return total
+
+
+# Transfer kinds. Each entry gives the word sum of mvec + (N - m,) for a
+# composition mvec of m, the shifts (a, b) of the prefactor
+# [N-m-a]! prod [m_i - 1]! / [N-b]!, and whether the term carries the
+# sign (-1)^len(mvec). The word sum is looked up at call time, so a
+# wrapped restricted_word_sum sees every call.
+_KINDS = {
+    # DT-to-PT in one crossing; collapses to hilb[m]
+    "LT": (lambda full: restricted_word_sum("LT", full), 0, 0, False),
+    # wall into the PT chamber
+    "B": (lambda full: restricted_word_sum("B", full), 1, 1, False),
+    # DT chamber onto the wall
+    "ALL": (lambda full: restricted_word_sum("ALL", full), 1, 0, False),
+    # the one-go iterated crossing of pt_from_dt_series
+    "GT": (lambda full: restricted_word_sum("GT", full), 0, 0, True),
+    # negative control of joyce_check
+    "SHIFTED": (_shifted_word_sum, 0, 0, False),
+}
+
+
+def _composition_sum(kind, m, N):
+    """Transfer coefficient of the given kind at Q^m: the sum over
+    compositions of m of the kind's term times the matching hilb
+    symbols."""
+    if not 1 <= m <= N - 1:
+        raise ValueError("need 1 <= m <= N-1")
+    word_sum, a, b, alternating = _KINDS[kind]
+    pref = _qfact_rf(N - m - a) / _qfact_rf(N - b)
+    out = FormalExpr({})
+    for mvec in compositions(m):
+        wsum = word_sum(mvec + (N - m,))
+        if wsum.is_zero():
+            continue
+        coeff = _as_kappa_rf(wsum) * pref
+        for mi in mvec:
+            coeff = coeff * _qfact_rf(mi - 1)
+        if alternating and len(mvec) % 2:
+            coeff = -coeff
+        out = out + _hilb_monomial(mvec) * coeff
+    return out
 
 
 def wall_transfer(m, N):
@@ -224,69 +270,20 @@ def wall_transfer(m, N):
     themselves, since their symmetrized word sums vanish; single terms
     such as (1, 2) do not vanish, only their sum over rearrangements does.
     """
-    if not 1 <= m <= N - 1:
-        raise ValueError("need 1 <= m <= N-1")
-    out = FormalExpr({})
-    pref = _qfact_rf(N - m) / _qfact_rf(N)
-    for mvec in _compositions(m):
-        csum = restricted_word_sum("LT", mvec + (N - m,))
-        if csum.is_zero():
-            continue
-        coeff = _as_kappa_rf(csum) * pref
-        for mi in mvec:
-            coeff = coeff * _qfact_rf(mi - 1)
-        out = out + _hilb_monomial(mvec) * coeff
-    return out
-
-
-def wall_transfer_pt(m, N):
-    """Transfer coefficient of the wall-to-PT-chamber crossing, built from
-    the remainder-first word sum with prefactor [N-m-1]! / [N-1]!.
-
-    The series sum_m Q^m of these equals the product of the two
-    kappa^(1/2)-shifted copies of the hilb symbol series.
-    """
-    if not 1 <= m <= N - 1:
-        raise ValueError("need 1 <= m <= N-1")
-    out = FormalExpr({})
-    pref = _qfact_rf(N - m - 1) / _qfact_rf(N - 1)
-    for mvec in _compositions(m):
-        bsum = restricted_word_sum("B", mvec + (N - m,))
-        if bsum.is_zero():
-            continue
-        coeff = _as_kappa_rf(bsum) * pref
-        for mi in mvec:
-            coeff = coeff * _qfact_rf(mi - 1)
-        out = out + _hilb_monomial(mvec) * coeff
-    return out
-
-
-def wall_transfer_dt(m, N):
-    """Transfer coefficient of the DT-chamber-to-wall crossing, built from
-    the all-ascending word sum with prefactor [N-m-1]! / [N]!."""
-    if not 1 <= m <= N - 1:
-        raise ValueError("need 1 <= m <= N-1")
-    out = FormalExpr({})
-    pref = _qfact_rf(N - m - 1) / _qfact_rf(N)
-    for mvec in _compositions(m):
-        csum = restricted_word_sum("ALL", mvec + (N - m,))
-        if csum.is_zero():
-            continue
-        coeff = _as_kappa_rf(csum) * pref
-        for mi in mvec:
-            coeff = coeff * _qfact_rf(mi - 1)
-        out = out + _hilb_monomial(mvec) * coeff
-    return out
+    return _composition_sum("LT", m, N)
 
 
 def W_pm(sign, m, N):
-    """Signed transfer coefficient; '+' crosses from the wall into the PT
-    chamber, '-' from the DT chamber onto the wall."""
-    if sign == "+":
-        return wall_transfer_pt(m, N)
-    if sign == "-":
-        return wall_transfer_dt(m, N)
-    raise ValueError("sign must be '+' or '-'")
+    """Signed transfer coefficient. '+' crosses from the wall into the PT
+    chamber with the remainder-first word sum and prefactor
+    [N-m-1]! / [N-1]!; its series equals the product of the two
+    kappa^(1/2)-shifted copies of the hilb symbol series. '-' crosses from
+    the DT chamber onto the wall with the all-ascending word sum and
+    prefactor [N-m-1]! / [N]!."""
+    kind = {"+": "B", "-": "ALL"}.get(sign)
+    if kind is None:
+        raise ValueError("sign must be '+' or '-'")
+    return _composition_sum(kind, m, N)
 
 
 def hilb_symbol_series(order, trunc=None):
@@ -302,46 +299,15 @@ def pair_symbol_series(order):
     return QSeries(0, [FormalExpr.symbol(PAIR, m) for m in range(order + 1)], order)
 
 
-def wall_transfer_series(order, N, sign=None, corrupt=False):
-    """Q-series of transfer coefficients (constant term 1)."""
+def wall_transfer_series(order, N, kind="LT"):
+    """Q-series of the transfer coefficients of one kind (constant term
+    1); kind is "LT", "B", "ALL", "GT" or the negative control
+    "SHIFTED"."""
     if order > N - 1:
         raise ValueError("order exceeds frame capacity")
     coeffs = [FormalExpr.scalar(1)]
-    for m in range(1, order + 1):
-        if corrupt:
-            coeffs.append(_corrupted_wall_transfer(m, N))
-        elif sign is None:
-            coeffs.append(wall_transfer(m, N))
-        else:
-            coeffs.append(W_pm(sign, m, N))
+    coeffs += [_composition_sum(kind, m, N) for m in range(1, order + 1)]
     return QSeries(0, coeffs, order)
-
-
-def _corrupted_wall_transfer(m, N):
-    """Negative-control variant of wall_transfer with the inner index sum
-    shifted by one (drops the adjacent-letter pairing term)."""
-    out = FormalExpr({})
-    pref = _qfact_rf(N - m) / _qfact_rf(N)
-    for mvec in _compositions(m):
-        ell = len(mvec) + 1
-        full = mvec + (N - m,)
-        total = LaurentPoly.zero()
-        for w in enumerate_words(full):
-            o, s = _word_stats(w, ell)
-            if not all(o[i] < o[i + 1] for i in range(1, ell - 1)):
-                continue
-            prod = LaurentPoly.const(1)
-            for i in range(1, ell):
-                shifted = s[i] - (c_word(w, i, i + 1) if i + 1 <= ell else 0)
-                prod = prod * quantum_int(full[i - 1] - shifted)
-            total = total + prod
-        if total.is_zero():
-            continue
-        coeff = _as_kappa_rf(total) * pref
-        for mi in mvec:
-            coeff = coeff * _qfact_rf(mi - 1)
-        out = out + _hilb_monomial(mvec) * coeff
-    return out
 
 
 def joyce_check(order, N, corrupt=False):
@@ -351,7 +317,7 @@ def joyce_check(order, N, corrupt=False):
     if order > N - 1:
         raise ValueError("order exceeds frame capacity")
     pair = pair_symbol_series(order)
-    wseries = wall_transfer_series(order, N, corrupt=corrupt)
+    wseries = wall_transfer_series(order, N, "SHIFTED" if corrupt else "LT")
     lhs = pair * hilb_symbol_series(order)
     rhs = pair * wseries
     return lhs.eq_through(rhs, order)
@@ -359,29 +325,10 @@ def joyce_check(order, N, corrupt=False):
 
 def pt_from_dt_series(order, N):
     """Express the PT-side series in pair and hilb symbols via the one-go
-    iterated wall-crossing: coefficient of Q^n is the alternating sum over
-    compositions of the descending-constrained word sums against
-    pair[n - |mvec|] and the hilb symbols of the parts."""
-    if order > N - 1:
-        raise ValueError("order exceeds frame capacity")
-    coeffs = []
-    for n in range(order + 1):
-        acc = FormalExpr({})
-        for total in range(0, n + 1):
-            for mvec in _compositions(total):
-                k = len(mvec)
-                csum = restricted_word_sum("GT", mvec + (N - total,))
-                if csum.is_zero():
-                    continue
-                coeff = _as_kappa_rf(csum) * (_qfact_rf(N - total) / _qfact_rf(N))
-                for mi in mvec:
-                    coeff = coeff * _qfact_rf(mi - 1)
-                if k % 2:
-                    coeff = -coeff
-                term = FormalExpr.symbol(PAIR, n - total) * _hilb_monomial(mvec)
-                acc = acc + term * coeff
-        coeffs.append(acc)
-    return QSeries(0, coeffs, order)
+    iterated wall-crossing: the pair-symbol series times the series of
+    alternating sums over compositions of the descending-constrained word
+    sums against the hilb symbols of the parts."""
+    return pair_symbol_series(order) * wall_transfer_series(order, N, "GT")
 
 
 def mochizuki_check(order, N):
@@ -407,7 +354,7 @@ def rank2_bridge(order, N, hilb):
     values = {}
     for m in range(0, order + 1):
         values[(HILB, m)] = hilb.series.coefficient(m)
-    wseries = wall_transfer_series(order, N, sign="+")
+    wseries = wall_transfer_series(order, N, "B")
     quot = quot2_vertex_series(order)
     for n in range(order + 1):
         lhs = wseries.coefficient(n).substitute(values)
@@ -425,7 +372,7 @@ def dt_side_check(order, N, hilb, quot):
     values = {}
     for m in range(0, order + 1):
         values[(HILB, m)] = hilb.series.coefficient(m)
-    wseries = wall_transfer_series(order, N, sign="-")
+    wseries = wall_transfer_series(order, N, "ALL")
     for n in range(order + 1):
         acc = RatFunc.zero()
         for m in range(0, n + 1):

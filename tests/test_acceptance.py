@@ -13,7 +13,7 @@ import pytest
 
 from kvertex.boxconfig import enumerate_configs, min_volume, plane_partitions
 from kvertex.exactalg import KAPPA, LaurentPoly, RatFunc
-from kvertex.qcombi import check_identity
+from kvertex.qcombi import check_identity, compositions, multisets_le3
 from kvertex.vertexk import (
     cy_constancy_check,
     dt_vertex_series,
@@ -63,43 +63,20 @@ def test_criterion_01_qbinom():
     report(1, not bad, "q-binomial, all m+n <= 9 (%s)" % (bad or "exact"))
 
 
-def _compositions(total):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
-
-
 def test_criterion_02_qmultinom():
     t0 = time.time()
     bad = []
     for total in range(1, 9):
-        for mvec in _compositions(total):
+        for mvec in compositions(total):
             if not check_identity("QMULTINOM", mvec=mvec):
                 bad.append(mvec)
     report(2, not bad, "q-multinomial, all compositions of N <= 8, %.1fs" % (time.time() - t0))
 
 
-def _multisets_le3(total):
-    for a in range(total, 0, -1):
-        rest = total - a
-        if rest == 0:
-            yield (a,)
-            continue
-        for b in range(min(a, rest), 0, -1):
-            rest2 = rest - b
-            if rest2 == 0:
-                yield (a, b)
-            elif rest2 <= b:
-                yield (a, b, rest2)
-
-
 def _sweep_identity(prop):
     bad = []
     for total in range(1, 7):
-        for mvec in _multisets_le3(total):
+        for mvec in multisets_le3(total):
             for N in range(total + 1, 11):
                 if not check_identity(prop, mvec=mvec, N=N):
                     bad.append((mvec, N))

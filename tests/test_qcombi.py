@@ -9,9 +9,11 @@ from kvertex.qcombi import (
     c_Q,
     c_word,
     check_identity,
+    compositions,
     dim_vector,
     enumerate_words,
     kappa_one_value,
+    multisets_le3,
     parse_partition,
     partition,
     quantum_factorial,
@@ -28,6 +30,37 @@ def test_partition_validation():
         partition((1, 2))
     with pytest.raises(ValueError):
         partition((0,))
+
+
+def test_compositions_match_cut_points():
+    # a composition of n is the set of its cut points in 1..n-1
+    assert list(compositions(0)) == [()]
+    for n in range(1, 11):
+        got = list(compositions(n))
+        assert len(got) == len(set(got)) == 2 ** (n - 1), n
+        expect = set()
+        for k in range(n):
+            for cuts in itertools.combinations(range(1, n), k):
+                edges = (0,) + cuts + (n,)
+                expect.add(tuple(edges[i + 1] - edges[i] for i in range(k + 1)))
+        assert set(got) == expect, n
+        assert got == sorted(got), n
+
+
+def test_multisets_le3_match_brute_force():
+    # partitions of n into at most three parts, largest first part first,
+    # and a shorter tuple before its extensions
+    for n in range(1, 11):
+        expect = sorted(
+            (
+                p
+                for k in (1, 2, 3)
+                for p in itertools.combinations_with_replacement(range(n, 0, -1), k)
+                if sum(p) == n
+            ),
+            key=lambda p: [-x for x in p],
+        )
+        assert list(multisets_le3(n)) == expect, n
 
 
 def test_quantum_int_values():

@@ -110,7 +110,7 @@ def test_pt_transfer_m1_value():
 def test_pt_transfer_series_is_shifted_product():
     sp = shifted_product_series(3)
     for N in (5, 8):
-        ws = wall_transfer_series(3, N, sign="+")
+        ws = wall_transfer_series(3, N, kind="B")
         assert ws.eq_through(sp, 3)
 
 
