@@ -20,13 +20,6 @@ from .exactalg import ONE, LaurentPoly, RatFunc
 _AXPAIR = ((1, 2), (0, 2), (0, 1))
 
 
-def in_leg(leg, axis, box):
-    """Is the box inside the infinite cylinder of this leg along the axis?"""
-    row_axis, col_axis = _AXPAIR[axis]
-    r, s = box[row_axis], box[col_axis]
-    return r < len(leg) and s < leg[r]
-
-
 def leg_reach(legs):
     reach = 0
     for leg in legs:

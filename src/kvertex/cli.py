@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import qcombi, vertexk, wallcross
 from .qcombi import compositions, multisets_le3, parse_partition
@@ -209,28 +208,6 @@ def cmd_bridge(args, out):
     return 0 if ok else 1
 
 
-def cmd_bench(args, out):
-    """Compare the vectorized and pure-Python summation engines."""
-    from .boxconfig import plane_partitions
-    from . import fastsum
-
-    rows = []
-    for n in range(0, args.order + 1):
-        fws = [vertexk._config_weight(c) for c in plane_partitions(n)]
-        t0 = time.time()
-        fast = fastsum.sum_factored(fws)
-        t_fast = time.time() - t0
-        t0 = time.time()
-        pure = vertexk._sum_factored(fws)
-        t_pure = time.time() - t0
-        agree = fast[0] == pure[0] and fast[1] == pure[1]
-        rows.append((n, t_fast, t_pure, agree))
-    out.write("volume,vectorized_s,pure_s,agree\n")
-    for n, tf, tp, agree in rows:
-        out.write("%d,%.3f,%.3f,%s\n" % (n, tf, tp, agree))
-    return 0 if all(r[3] for r in rows) else 1
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="kvertex",
@@ -282,11 +259,6 @@ def build_parser():
     sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_bridge, format="json")
-
-    sp = sub.add_parser("bench", help="compare summation engines")
-    sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_bench, format="csv", jobs=1)
 
     return p
 

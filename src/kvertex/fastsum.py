@@ -1,28 +1,36 @@
-"""Vectorized engine for summing fixed-point weights.
+"""The summation engine for fixed-point weights.
 
-Same algorithm as the pure-Python merge tree in vertexk (factored
-fractions over weight binomials, trial-division reduction), with each
-numerator held in numpy int64 arrays in one of two layouts:
+Weights are summed by a divide-and-conquer merge tree of factored
+fractions: a numerator over a multiset of weight binomials t^m - t^(-m),
+added over the factorwise lcm denominator and reduced by trial division
+after every merge. Denominators are dicts keyed by the big-packed
+half-weight keys of vertexk.FactoredWeight. A numerator is held in one of
+three layouts:
 
-- sparse: parallel arrays of packed monomial keys (five 12-bit lanes, one
-  per variable) and coefficients, plus per-lane bounds on the exponents;
-- dense: an array over the numerator's exponent bounding box, plus the lane
-  values of its origin cell. All terms of a product of weight binomials
-  have the same parity in each lane, so one cell is 2 lane units wide.
+- sparse: numpy int64 arrays of packed monomial keys (five 12-bit lanes,
+  one per variable) and coefficients, plus per-lane bounds on the
+  exponents;
+- dense: an int64 array over the numerator's exponent bounding box, plus
+  the lane values of its origin cell. All terms of a product of weight
+  binomials have the same parity in each lane, so one cell is 2 lane units
+  wide;
+- dict: an exact LaurentPoly, multiplied with mul_binomial and divided with
+  divide_exact. It holds any exponent and any coefficient.
 
-Each merge of the tree picks its layout from what it can measure: it goes
-dense when both operands share per-lane parity and the predicted box of the
-sum has at most _DENSE_FILL cells per operand term and at most _DENSE_CELLS
-cells; otherwise it stays sparse. The layout changes neither the merge
-order nor the trial divisions, so both give the same result.
+Each leaf starts sparse, or as a dict when one of its factors leaves the
+12-bit lanes. A merge with a dict operand runs on dicts. Otherwise the
+merge goes dense when both operands share per-lane parity and the predicted
+box of the sum has at most _DENSE_FILL cells per operand term and at most
+_DENSE_CELLS cells, and stays sparse if not. When an int64 merge or
+division raises FastSumUnavailable, that one merge or division is redone on
+dicts, and the numerator stays a dict from then on. No layout changes the
+merge order or the trial divisions, so all give the same result.
 
-All arithmetic is integer arithmetic. Exactness is kept by range checks:
-every coefficient stays below _COEFF_LIMIT; sparse lanes are checked
-against the true lane range before every shift (bounds carried per array,
-recomputed from the keys when they cross it) and on every dense-to-sparse
-conversion; leaf exponents must lie within _EXP_LIMIT. A violation raises
-FastSumUnavailable, and vertexk then sums with the exact dict-based
-engine. Set KVERTEX_PURE=1 to force that engine everywhere.
+Exactness of the int64 layouts is kept by range checks: every coefficient
+stays below _COEFF_LIMIT; sparse lanes are checked against the true lane
+range before every shift (bounds carried per array, recomputed from the
+keys when they cross it) and on every dense-to-sparse conversion; a weight
+binomial enters only if its exponents lie within _EXP_LIMIT.
 
 Division by a weight binomial t^m - t^(-m) is exact or fails (None). The
 sparse layout works line by line along the exponent direction 2m: after a
@@ -40,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactalg import _unpack, _pack, LaurentPoly
+from .exactalg import LaurentPoly, _kneg, _unpack, divide_exact
 from .exactalg import _LANE as _BIG_LANE, _OFF as _BIG_OFF, _SHIFTS as _BIG_SHIFTS
 
 _LANE = 12
@@ -65,10 +73,13 @@ _DENSE_CELLS = 1 << 22
 
 
 class FastSumUnavailable(Exception):
-    """Raised when inputs exceed the vectorized engine's safe ranges."""
+    """Raised when a numerator exceeds the safe ranges of the int64 layouts."""
 
 
+@lru_cache(maxsize=4096)
 def _small_from_big(kbig):
+    """Small-packed key of a big-packed one; raises FastSumUnavailable when
+    an exponent is beyond _EXP_LIMIT."""
     e = _unpack(kbig)
     if any(abs(x) > _EXP_LIMIT for x in e):
         raise FastSumUnavailable("exponent out of range")
@@ -76,11 +87,6 @@ def _small_from_big(kbig):
     for x, s in zip(e, _SHIFTS):
         k += (x + _OFF) << s
     return k
-
-
-def _big_from_small(k):
-    k = int(k)
-    return _pack(tuple(((k >> s) & _MASK) - _OFF for s in _SHIFTS))
 
 
 @lru_cache(maxsize=4096)
@@ -450,79 +456,10 @@ def _to_sparse(arr):
     return _Sparse(keys, arr.arr[idx], lo, hi)
 
 
-def _divide(arr, m):
-    if isinstance(arr, _Dense):
-        return _dense_divide(arr, m)
-    return _divide_binomial(arr, m)
-
-
-# -- merge tree ---------------------------------------------------------------
-
-
-def _pair_reduce(arr, den, candidates=None):
-    if arr.is_zero():
-        den.clear()
-        return arr, den
-    todo = list(den) if candidates is None else [m for m in candidates if m in den]
-    for m in todo:
-        while den.get(m, 0) > 0:
-            q = _divide(arr, m)
-            if q is None:
-                break
-            arr = q
-            den[m] -= 1
-            if arr.is_zero():
-                den.clear()
-                return arr, den
-        if den.get(m) == 0:
-            del den[m]
-    return arr, den
-
-
-def _pair_add(a, b, full=False):
-    arr_a, den_a = a
-    arr_b, den_b = b
-    lcm = dict(den_a)
-    candidates = []
-    for m, e in den_b.items():
-        have = lcm.get(m, 0)
-        if have < e:
-            lcm[m] = e
-        if have == e:
-            candidates.append(m)
-    grow_a = [(m, e - den_a.get(m, 0)) for m, e in lcm.items() if e > den_a.get(m, 0)]
-    grow_b = [(m, e - den_b.get(m, 0)) for m, e in lcm.items() if e > den_b.get(m, 0)]
-    if _goes_dense(arr_a, grow_a, arr_b, grow_b):
-        layout, mul, add = _to_dense, _dense_mul, _dense_add
-    else:
-        layout, mul, add = _to_sparse, _mul_binomial, _add
-    xa, xb = layout(arr_a), layout(arr_b)
-    for m, e in grow_a:
-        for _ in range(e):
-            xa = mul(xa, m)
-    for m, e in grow_b:
-        for _ in range(e):
-            xb = mul(xb, m)
-    return _pair_reduce(add(xa, xb), lcm, None if full else candidates)
-
-
-def _leaf(fw):
-    """FactoredWeight -> (sparse numerator, denominator dict) in small packing."""
-    arr = _Sparse(np.array([_ZERO], dtype=np.int64), np.array([fw.sign], dtype=np.int64),
-                  (0,) * 5, (0,) * 5)
-    den = {}
-    for mbig, e in sorted(fw.fac.items()):
-        m = _small_from_big(mbig)
-        if e > 0:
-            for _ in range(e):
-                arr = _mul_binomial(arr, m)
-        else:
-            den[m] = -e
-    return arr, den
-
-
 def _to_poly(arr):
-    """Numerator in either layout as a LaurentPoly (big packing)."""
+    """Numerator in any layout as a LaurentPoly (big packing)."""
+    if isinstance(arr, LaurentPoly):
+        return arr
     if isinstance(arr, _Dense):
         idx = np.nonzero(arr.arr)
         lanes = [o + 2 * i for o, i in zip(arr.origin, idx)]
@@ -542,10 +479,135 @@ def _to_poly(arr):
     })
 
 
-def sum_factored(fws):
-    """Sum factored weights; returns (numerator LaurentPoly, denominator
-    factor dict keyed by big-packed half-weight keys)."""
+# -- dict layout --------------------------------------------------------------
 
+
+def _half_binomial(m):
+    """w^(1/2) - w^(-1/2) where m is the big-packed key of w^(1/2)."""
+    return LaurentPoly({m: 1, _kneg(m): -1})
+
+
+def _poly_mul(num, m):
+    """num * (t^m - t^(-m)) for a big-packed key m."""
+    return num.mul_binomial(m, 1, _kneg(m), -1)
+
+
+def _divide(arr, m):
+    """Exact quotient arr / (t^m - t^(-m)) for a big-packed key m, or None."""
+    if isinstance(arr, LaurentPoly):
+        return divide_exact(arr, _half_binomial(m))
+    if isinstance(arr, _Dense):
+        return _dense_divide(arr, _small_from_big(m))
+    return _divide_binomial(arr, _small_from_big(m))
+
+
+# -- merge tree ---------------------------------------------------------------
+
+
+def _grow(arr, grow, mul):
+    """arr times the binomials (m, e) of grow, one factor at a time."""
+    for m, e in grow:
+        for _ in range(e):
+            arr = mul(arr, m)
+    return arr
+
+
+def _pair_reduce(arr, den, candidates=None):
+    if arr.is_zero():
+        den.clear()
+        return arr, den
+    todo = list(den) if candidates is None else [m for m in candidates if m in den]
+    for m in todo:
+        while den.get(m, 0) > 0:
+            try:
+                q = _divide(arr, m)
+            except FastSumUnavailable:
+                arr = _to_poly(arr)
+                q = _divide(arr, m)
+            if q is None:
+                break
+            arr = q
+            den[m] -= 1
+            if arr.is_zero():
+                den.clear()
+                return arr, den
+        if den.get(m) == 0:
+            del den[m]
+    return arr, den
+
+
+def _int64_add(arr_a, grow_a, arr_b, grow_b):
+    """arr_a * grow_a + arr_b * grow_b in the dense or the sparse layout."""
+    if isinstance(arr_a, LaurentPoly) or isinstance(arr_b, LaurentPoly):
+        raise FastSumUnavailable("dict operand")
+    grow_a = [(_small_from_big(m), e) for m, e in grow_a]
+    grow_b = [(_small_from_big(m), e) for m, e in grow_b]
+    if _goes_dense(arr_a, grow_a, arr_b, grow_b):
+        layout, mul, add = _to_dense, _dense_mul, _dense_add
+    else:
+        layout, mul, add = _to_sparse, _mul_binomial, _add
+    return add(_grow(layout(arr_a), grow_a, mul), _grow(layout(arr_b), grow_b, mul))
+
+
+def _pair_add(a, b, full=False):
+    """Add two factored fractions over the factorwise lcm denominator.
+
+    Cancellation of a prime factor against the new numerator is only
+    possible when the factor divides neither catch-up product, i.e. when
+    its multiplicities on the two sides agree; only those factors are
+    trial-divided here. A final full pass happens once per sum, at the top
+    of the merge tree.
+    """
+    arr_a, den_a = a
+    arr_b, den_b = b
+    lcm = dict(den_a)
+    candidates = []
+    for m, e in den_b.items():
+        have = lcm.get(m, 0)
+        if have < e:
+            lcm[m] = e
+        if have == e:
+            candidates.append(m)
+    grow_a = [(m, e - den_a.get(m, 0)) for m, e in lcm.items() if e > den_a.get(m, 0)]
+    grow_b = [(m, e - den_b.get(m, 0)) for m, e in lcm.items() if e > den_b.get(m, 0)]
+    try:
+        total = _int64_add(arr_a, grow_a, arr_b, grow_b)
+    except FastSumUnavailable:
+        total = (_grow(_to_poly(arr_a), grow_a, _poly_mul)
+                 + _grow(_to_poly(arr_b), grow_b, _poly_mul))
+    return _pair_reduce(total, lcm, None if full else candidates)
+
+
+def _leaf(fw):
+    """FactoredWeight -> (numerator, denominator dict). The numerator is
+    sparse, or a dict when a factor leaves the lanes."""
+    grow = []
+    den = {}
+    for m, e in sorted(fw.fac.items()):
+        if e > 0:
+            grow.append((m, e))
+        else:
+            den[m] = -e
+    try:
+        for m in den:
+            _small_from_big(m)  # raises when a denominator factor leaves the lanes
+        one = _Sparse(np.array([_ZERO], dtype=np.int64),
+                      np.array([fw.sign], dtype=np.int64), (0,) * 5, (0,) * 5)
+        arr = _grow(one, [(_small_from_big(m), e) for m, e in grow], _mul_binomial)
+    except FastSumUnavailable:
+        arr = _grow(LaurentPoly.const(fw.sign), grow, _poly_mul)
+    return arr, den
+
+
+def sum_factored(fws):
+    """Divide-and-conquer sum of factored weights; returns the reduced
+    (numerator LaurentPoly, denominator factor dict keyed by big-packed
+    half-weight keys).
+
+    Merging in enumeration order keeps neighbouring configurations (which
+    share most of their tangent weights) together, so the intermediate
+    denominators stay close to the factors actually needed.
+    """
     if not fws:
         return LaurentPoly.zero(), {}
     pairs = [_leaf(fw) for fw in fws]
@@ -558,4 +620,4 @@ def sum_factored(fws):
             merged.append(pairs[-1])
         pairs = merged
     arr, den = _pair_reduce(*pairs[0])
-    return _to_poly(arr), {_big_from_small(m): e for m, e in den.items()}
+    return _to_poly(arr), den

@@ -8,10 +8,10 @@ no trivial weight, and V must be antisymmetric of weight kappa under the
 dual involution. The symmetrized contribution of a fixed point is then
 prod (w^(1/2) - w^(-1/2))^(-n_w) over the weights w of V.
 
-Series coefficients are sums of such contributions. They are accumulated in
-a factored form (numerator polynomial over a multiset of weight binomials)
-with trial-division reduction after every addition, which keeps the
-intermediate fractions near their reduced size; this is what makes the
+Series coefficients are sums of such contributions. fastsum accumulates
+them in a factored form (numerator polynomial over a multiset of weight
+binomials) with trial-division reduction after every addition, which keeps
+the intermediate fractions near their reduced size; this is what makes the
 volume-8 assembly cheap.
 """
 
@@ -21,6 +21,7 @@ import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import fastsum
 from .boxconfig import (
     _AXPAIR,
     enumerate_configs,
@@ -40,6 +41,7 @@ from .exactalg import (
     _poly_key,
     divide_exact,
 )
+from .fastsum import _half_binomial
 
 
 def leg_tangent(leg, axes):
@@ -187,11 +189,6 @@ class FactoredWeight:
         self.fac = fac
 
 
-def _half_binomial(m):
-    """w^(1/2) - w^(-1/2) where m is the packed key of w^(1/2)."""
-    return LaurentPoly({m: 1, _kneg(m): -1})
-
-
 def factored_weight(vchar):
     fac = {}
     sign = 1
@@ -233,98 +230,6 @@ def fixed_point_weight(vchar):
     return RatFunc(num, den)
 
 
-def _mul_binomials(num, m, e):
-    """num * (t^m - t^(-m))^e for a packed key m."""
-    mneg = _kneg(m)
-    for _ in range(e):
-        num = num.mul_binomial(m, 1, mneg, -1)
-    return num
-
-
-def _fw_to_pair(fw):
-    """FactoredWeight as (numerator poly, denominator factor dict)."""
-    num = LaurentPoly.const(fw.sign)
-    den = {}
-    for m, e in sorted(fw.fac.items()):
-        if e > 0:
-            num = _mul_binomials(num, m, e)
-        else:
-            den[m] = -e
-    return num, den
-
-
-def _pair_reduce(num, den, candidates=None):
-    if num.is_zero():
-        den.clear()
-        return num, den
-    todo = list(den) if candidates is None else [m for m in candidates if m in den]
-    for m in todo:
-        f = _half_binomial(m)
-        while den.get(m, 0) > 0:
-            q = divide_exact(num, f)
-            if q is None:
-                break
-            num = q
-            den[m] -= 1
-        if den.get(m) == 0:
-            del den[m]
-    if num.is_zero():
-        den.clear()
-    return num, den
-
-
-def _pair_add(a, b, full=False):
-    """Add two factored fractions over the factorwise lcm denominator.
-
-    Cancellation of a prime factor against the new numerator is only
-    possible when the factor divides neither catch-up product, i.e. when
-    its multiplicities on the two sides agree; only those factors are
-    trial-divided here. A final full pass happens once per sum, at the top
-    of the merge tree.
-    """
-    num_a, den_a = a
-    num_b, den_b = b
-    lcm = dict(den_a)
-    candidates = []
-    for m, e in den_b.items():
-        have = lcm.get(m, 0)
-        if have < e:
-            lcm[m] = e
-        if have == e:
-            candidates.append(m)
-    xa = num_a
-    xb = num_b
-    for m, e in lcm.items():
-        extra = e - den_a.get(m, 0)
-        if extra:
-            xa = _mul_binomials(xa, m, extra)
-        extra = e - den_b.get(m, 0)
-        if extra:
-            xb = _mul_binomials(xb, m, extra)
-    return _pair_reduce(xa + xb, lcm, None if full else candidates)
-
-
-def _sum_factored(fws):
-    """Divide-and-conquer sum of factored weights into a reduced pair.
-
-    Merging in enumeration order keeps neighbouring configurations (which
-    share most of their tangent weights) together, so the intermediate
-    denominators stay close to the factors actually needed.
-    """
-    if not fws:
-        return LaurentPoly.zero(), {}
-    pairs = [_fw_to_pair(fw) for fw in fws]
-    while len(pairs) > 1:
-        top = len(pairs) == 2
-        merged = []
-        for i in range(0, len(pairs) - 1, 2):
-            merged.append(_pair_add(pairs[i], pairs[i + 1], full=top))
-        if len(pairs) % 2:
-            merged.append(pairs[-1])
-        pairs = merged
-    return _pair_reduce(*pairs[0])
-
-
 def _pair_to_ratfunc(pair):
     """Reduced factored pair as a normalized RatFunc, factor by factor."""
     num, den = pair
@@ -338,32 +243,10 @@ def _pair_to_ratfunc(pair):
     return RatFunc._prereduced(num, fac)
 
 
-# -- summation engine selection ---------------------------------------------
-
-
-def _use_fast_engine():
-    import os
-
-    if os.environ.get("KVERTEX_PURE"):
-        return False
-    try:
-        from . import fastsum  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
 def sum_weights(fws):
     """Sum factored weights into a reduced (numerator, denominator factor
-    dict) pair, using the vectorized engine when available."""
-    if _use_fast_engine():
-        from . import fastsum
-
-        try:
-            return fastsum.sum_factored(fws)
-        except fastsum.FastSumUnavailable:
-            pass
-    return _sum_factored(fws)
+    dict) pair."""
+    return fastsum.sum_factored(fws)
 
 
 # -- series assembly -------------------------------------------------------
@@ -395,10 +278,6 @@ class VertexSeries:
         }
 
 
-def _config_weight(config):
-    return factored_weight(vertex_character(config))
-
-
 def _config_weight_indexed(args):
     index, config = args
     try:
@@ -411,8 +290,13 @@ def _config_weight_indexed(args):
 
 
 def _quot_weight(args):
-    pair, framing_ratio_exps = args
-    return factored_weight(_quot_vertex_char(pair, framing_ratio_exps))
+    index, pair, framing_ratio_exps = args
+    try:
+        return factored_weight(_quot_vertex_char(pair, framing_ratio_exps))
+    except ArithmeticError as e:
+        raise ArithmeticError(
+            "%s at pair #%d (m=%d)" % (e, index, sum(len(c.core) for c in pair))
+        ) from e
 
 
 def _map_jobs(fn, items, jobs):
@@ -507,7 +391,7 @@ def quot2_vertex_series(order, framing=None, jobs=1):
         raise ValueError("framing monomials must be distinct")
     coeffs = []
     for m in range(order + 1):
-        items = [(pair, ratios) for pair in enumerate_quot_pairs(m)]
+        items = [(i, pair, ratios) for i, pair in enumerate(enumerate_quot_pairs(m))]
         fws = _map_jobs(_quot_weight, items, jobs)
         rf = _pair_to_ratfunc(sum_weights(fws))
         if framing is None and rf.uses_vars() & {3, 4}:

@@ -94,11 +94,3 @@ def test_pt_vertex_pretty():
     proc = run_cli("pt-vertex", "--legs", ";;", "--order", "1", "--format", "pretty")
     assert proc.returncode == 0
     assert "PT vertex series" in proc.stdout
-
-
-def test_bench():
-    proc = run_cli("bench", "--order", "2")
-    assert proc.returncode == 0
-    lines = proc.stdout.strip().splitlines()
-    assert lines[0] == "volume,vectorized_s,pure_s,agree"
-    assert all(line.endswith("True") for line in lines[1:])

@@ -2,7 +2,6 @@
 oracles where the contracts give one."""
 
 import json
-import os
 
 import pytest
 
@@ -192,40 +191,58 @@ def _quot_weights(m, framing=None):
         (0, 1): vk._framing_ratio_exps(framing, 1, 0),
         (1, 0): vk._framing_ratio_exps(framing, 0, 1),
     }
-    return [vk._quot_weight((pair, ratios)) for pair in enumerate_quot_pairs(m)]
+    return [vk._quot_weight((i, pair, ratios)) for i, pair in enumerate(enumerate_quot_pairs(m))]
 
 
-def test_pure_engine_matches_fast_engine(monkeypatch):
+def test_int64_layouts_match_dict_layout(monkeypatch):
     import kvertex.vertexk as vk
     from kvertex import fastsum
 
     layouts = set()
-    goes_dense = fastsum._goes_dense
+    pair_reduce = fastsum._pair_reduce
 
-    def spy(*args):
-        dense = goes_dense(*args)
-        layouts.add(dense)
-        return dense
+    def spy(arr, *args):
+        layouts.add(type(arr).__name__)
+        return pair_reduce(arr, *args)
 
-    monkeypatch.setattr(fastsum, "_goes_dense", spy)
-    framed = (ONE, LaurentPoly.term(1, (10, 6, -4, 0, 0)))
+    def unavailable(kbig):
+        raise fastsum.FastSumUnavailable("dict layout forced")
+
+    def framing(*exps):
+        return (ONE, LaurentPoly.term(1, tuple(2 * x for x in exps) + (0, 0)))
+
+    monkeypatch.setattr(fastsum, "_pair_reduce", spy)
     cases = (
         [list(enumerate_configs((), (), (), n)) for n in range(6)]
         + [list(enumerate_configs((1,), (), (), n)) for n in range(4)]
     )
-    weights = [[vk._config_weight(c) for c in configs] for configs in cases]
-    weights += [_quot_weights(m) for m in range(3)]
-    weights += [_quot_weights(m, framed) for m in range(3)]
+    weights = [[vk.factored_weight(vertex_character(c)) for c in configs] for configs in cases]
+    framings = [framing(*e) for e in ((5, 3, -2), (500, 3, -2), (1000, 3, -2), (2000, 3, -2))]
+    for fr in [None] + framings:
+        weights += [_quot_weights(m, fr) for m in range(3)]
     seen = []
     for fws in weights:
         layouts.clear()
         fast = fastsum.sum_factored(fws)
-        pure = vk._sum_factored(fws)
-        assert fast[0] == pure[0] and fast[1] == pure[1]
         seen.append(frozenset(layouts))
+        with monkeypatch.context() as mp:
+            mp.setattr(fastsum, "_small_from_big", unavailable)
+            layouts.clear()
+            exact = fastsum.sum_factored(fws)
+            if len(fws) > 1:
+                assert layouts == {"LaurentPoly"}
+        assert fast[0] == exact[0] and fast[1] == exact[1]
     # some sums merge only densely (0-leg), some only sparsely (quot2
-    # symbolic), and some mix the two layouts (framed quot2)
-    assert {frozenset({True}), frozenset({False}), frozenset({True, False})} <= set(seen)
+    # symbolic), some mix the two int64 layouts (framing t^(5,3,-2)), some
+    # mix sparse and dict merges (framing t^(500,3,-2) at m=2), and some
+    # merge only on dicts (t^(1000,3,-2) and t^(2000,3,-2) at m=2)
+    assert {
+        frozenset({"_Dense"}),
+        frozenset({"_Sparse"}),
+        frozenset({"_Dense", "_Sparse"}),
+    } <= set(seen)
+    assert frozenset({"_Sparse", "LaurentPoly"}) in seen
+    assert frozenset({"LaurentPoly"}) in seen
 
 
 def _numerator(*factors):
@@ -285,6 +302,22 @@ def test_sparse_division_never_merges_lines():
         fastsum._divide_binomial(f, fastsum._small_from_big(_pack(m)))
 
 
+def test_division_beyond_lanes_is_redone_on_dicts():
+    # Lines along 2m through this numerator could share a packed line key,
+    # so the sparse division refuses it; the merge tree divides on dicts.
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+
+    m, a, b = (1, 40, 0, 0, 0), (1000, 0, 0, 0, 0), (0, 1000, 0, 0, 0)
+    key = _pack(m)
+    f = _numerator((m, 1), (a, 1), (b, 1))
+    with pytest.raises(fastsum.FastSumUnavailable):
+        fastsum._divide_binomial(f, fastsum._small_from_big(key))
+    q, den = fastsum._pair_reduce(f, {key: 2})
+    assert isinstance(q, LaurentPoly) and den == {key: 1}
+    assert q == fastsum._to_poly(_numerator((a, 1), (b, 1)))
+
+
 @pytest.mark.parametrize("exps", [(292, 0, 0), (500, 3, -2)])
 def test_framing_beyond_lane_range_matches_symbolic(exps):
     symbolic = quot2_vertex_series(2)
@@ -293,10 +326,14 @@ def test_framing_beyond_lane_range_matches_symbolic(exps):
     assert framed.series.eq_through(symbolic.series, 2)
 
 
-def test_pure_env_flag(monkeypatch):
-    monkeypatch.setenv("KVERTEX_PURE", "1")
-    s = dt_vertex_series(order=2)
-    assert cy_constancy_check(s) == [1, -1, 3]
+def test_weight_errors_name_the_configuration(monkeypatch):
+    import kvertex.vertexk as vk
+
+    monkeypatch.setattr(vk, "_vertex_invariant_errors", lambda v: "symmetry violation")
+    with pytest.raises(ArithmeticError, match=r"symmetry violation at config #0 \(volume 0\)"):
+        dt_vertex_series(order=1, jobs=1)
+    with pytest.raises(ArithmeticError, match=r"symmetry violation at pair #0 \(m=0\)"):
+        quot2_vertex_series(1, jobs=1)
 
 
 def test_series_json_schema():
