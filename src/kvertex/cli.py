@@ -276,6 +276,8 @@ def main(argv=None):
             args.legs = parse_legs(args.legs)
         if getattr(args, "jobs", 1) < 1:
             raise UsageError("jobs must be positive")
+        if getattr(args, "max_n", 2) < 2:
+            raise UsageError("max-n must be at least 2")
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2

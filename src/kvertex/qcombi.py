@@ -6,6 +6,12 @@ A word over the alphabet 1..l with multiplicity vector m is stored as a
 plain tuple of ints. Quantum integers [n] carry the sign (-1)^(n-1), so
 [n] at kappa = 1 is (-1)^(n-1) * n; all identity checking is exact.
 
+Word sums are not taken word by word. Every statistic they need grows,
+as a word is built left to right, by an amount read from the letter
+counts seen so far, and so does each first-occurrence constraint. So one
+recursion over those counts sums all words at once (_statistic_counts);
+enumerate_words stays for the negative control and as a test oracle.
+
 Hot loops work on light "kappa dicts" mapping doubled half-powers of kappa
 to integer coefficients; the public API converts to LaurentPoly.
 """
@@ -13,6 +19,7 @@ to integer coefficients; the public API converts to LaurentPoly.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from .exactalg import LaurentPoly, divide_exact, kappa_pow
@@ -77,15 +84,6 @@ def _kd_mul(a, b):
             elif e in out:
                 del out[e]
     return out
-
-
-def _kd_add_into(acc, b):
-    for e, c in b.items():
-        s = acc.get(e, 0) + c
-        if s:
-            acc[e] = s
-        elif e in acc:
-            del acc[e]
 
 
 def kd_to_poly(kd):
@@ -223,6 +221,67 @@ def _word_stats(w, nletters):
 ORDER_KINDS = ("GT", "LT", "B", "ALL")
 
 
+def _statistic_counts(mvec, eps, pred):
+    """{sum_i eps[i] * S_i: number of words} over the rearrangements of
+    mvec whose first occurrences follow the chain pred.
+
+    Letters are 0-based here. pred[x] is the letter that must occur before
+    x first occurs, or None. Words are built left to right, and the state
+    is the vector seen of letter counts so far: appending x adds seen[i]
+    to S_i for every i < x and subtracts sum_{j>x} seen[j] from S_x, and
+    whether x may occur is read from seen too. So each state keeps one
+    dict {statistic: word count} for all the words that reach it.
+    """
+    nletters = len(mvec)
+    layer = {(0,) * nletters: {0: 1}}
+    for _ in range(sum(mvec)):
+        nxt = {}
+        for seen, counts in layer.items():
+            below = 0
+            above = sum(seen)
+            for x in range(nletters):
+                above -= seen[x]
+                step = below - eps[x] * above
+                below += eps[x] * seen[x]
+                if seen[x] == mvec[x]:
+                    continue
+                p = pred[x]
+                if not seen[x] and p is not None and not seen[p]:
+                    continue
+                key = seen[:x] + (seen[x] + 1,) + seen[x + 1:]
+                acc = nxt.get(key)
+                if acc is None:
+                    nxt[key] = acc = {}
+                for t, c in counts.items():
+                    t += step
+                    acc[t] = acc.get(t, 0) + c
+        layer = nxt
+    return layer.get(tuple(mvec), {})
+
+
+def _chain(kind, ell, nletters):
+    """pred for _statistic_counts: the first-occurrence constraint of an
+    ordering kind on ell slots, over the nletters letters that occur."""
+    pred = [None] * nletters
+    if kind == "GT":
+        for i in range(ell - 2):
+            pred[i] = i + 1
+    elif kind == "B":
+        # the remainder heads the chain; with one slot this asks
+        # o_1 < o_1, which no word meets
+        pred[0] = ell - 1
+        for i in range(1, ell - 1):
+            pred[i] = i - 1
+    else:
+        for i in range(1, ell - 1 if kind == "LT" else ell):
+            pred[i] = i - 1
+    return pred
+
+
+# v - v^-1 with v = -kappa^(1/2)
+_V_DIFF = kappa_pow(-1) - kappa_pow(1)
+
+
 def restricted_word_sum(kind, mvec):
     """Sum over rearrangements of 1^m1 ... l^ml, restricted by an ordering
     constraint on first occurrences, of prod_{i<l} [m_i - sum_{j>i} c_{i,j}].
@@ -231,6 +290,12 @@ def restricted_word_sum(kind, mvec):
     B means o_l < o_1 < ... < o_{l-1}; ALL means o_1 < ... < o_l. The last
     slot is the rank-one remainder and may have multiplicity zero, in which
     case constraints that mention o_l are unsatisfiable and the sum is 0.
+
+    With v = -kappa^(1/2) each factor is [a] = (v^a - v^-a) / (v - v^-1),
+    so the product expands over sign vectors eps into monomials in the one
+    statistic sum_i eps_i S_i, with S_i = sum_{j>i} c_{i,j}. For each eps
+    _statistic_counts sums every word at once, and the numerator is
+    divided exactly by (v - v^-1)^(l-1).
     """
     if kind not in ORDER_KINDS:
         raise ValueError("unknown ordering kind %r" % (kind,))
@@ -240,34 +305,36 @@ def restricted_word_sum(kind, mvec):
         raise ValueError("need at least one slot")
     if any(m < 1 for m in mvec[:-1]) or mvec[-1] < 0:
         raise ValueError("multiplicities must be positive (last slot >= 0)")
+    letters = mvec
     if mvec[-1] == 0:
         if kind in ("B", "ALL"):
             return LaurentPoly.zero()
-        mvec = mvec[:-1]
-        if not mvec:
+        letters = mvec[:-1]
+        if not letters:
             return LaurentPoly.const(1)
-
-    def admissible(o):
-        if kind == "GT":
-            return all(o[i] > o[i + 1] for i in range(1, ell - 1))
-        if kind == "LT":
-            return all(o[i] < o[i + 1] for i in range(1, ell - 1))
-        if kind == "ALL":
-            return all(o[i] < o[i + 1] for i in range(1, len(mvec)))
-        return o[len(mvec)] < o[1] and all(o[i] < o[i + 1] for i in range(1, ell - 1))
-
-    total = {}
-    nletters = len(mvec)
-    for w in enumerate_words(mvec):
-        o, s = _word_stats(w, nletters)
-        if not admissible(o):
-            continue
-        prod = {0: 1}
-        for i in range(1, ell):
-            if i <= nletters:
-                prod = _kd_mul(prod, _qint_kd(mvec[i - 1] - s[i]))
-        _kd_add_into(total, prod)
-    return kd_to_poly(total)
+    pred = _chain(kind, ell, len(letters))
+    k = ell - 1
+    zeros = (0,) * (len(letters) - k)
+    numer = {}
+    for signs in itertools.product((1, -1), repeat=k):
+        sign = 1
+        base = 0
+        for e, m in zip(signs, letters):
+            sign *= e
+            base += e * m
+        for t, c in _statistic_counts(letters, signs + zeros, pred).items():
+            # v^e = (-1)^e kappa^(e/2)
+            e = base - t
+            numer[e] = numer.get(e, 0) + (-sign if e % 2 else sign) * c
+    quotient = kd_to_poly(numer)
+    for _ in range(k):
+        quotient = divide_exact(quotient, _V_DIFF)
+        if quotient is None:
+            raise ArithmeticError(
+                "restricted word sum %s %r is not divisible by (v - v^-1)^%d"
+                % (kind, mvec, k)
+            )
+    return quotient
 
 
 # -- identity suites -------------------------------------------------------
@@ -329,16 +396,16 @@ def check_identity(prop, *, m=None, n=None, mvec=None, N=None):
     """Exhaustive check of one combinatorial identity instance.
 
     QBINOM wants (m, n); QMULTINOM wants mvec; MOCHIZUKI, JOYCE_LT and
-    JOYCE_B want (mvec, N). The left side is computed by brute enumeration,
-    the right side from the closed form; the result compares them exactly.
+    JOYCE_B want (mvec, N). The left side is summed over every word by the
+    recursion over letter counts (_statistic_counts, directly for QBINOM
+    and QMULTINOM, through restricted_word_sum for the others, once per
+    distinct rearrangement of mvec times its multiplicity); the right side
+    comes from the closed form, and the result compares them exactly.
     """
     if prop == "QBINOM":
         if m is None or n is None or m < 1 or n < 1:
             raise ValueError("QBINOM wants integers m, n >= 1")
-        total = {}
-        for w in enumerate_words((m, n)):
-            _kd_add_into(total, {c_word(w, 1, 2): 1})
-        lhs = kd_to_poly(total)
+        lhs = kd_to_poly(_statistic_counts((m, n), (1, 1), (None, None)))
         if (m * n) % 2:
             lhs = -lhs
         rhs = _qfact_ratio(m + n, (m, n))
@@ -349,11 +416,7 @@ def check_identity(prop, *, m=None, n=None, mvec=None, N=None):
             raise ValueError("QMULTINOM wants a vector of positive parts")
         mvec = tuple(mvec)
         k = len(mvec)
-        total = {}
-        for w in enumerate_words(mvec):
-            _, s = _word_stats(w, k)
-            _kd_add_into(total, {sum(s): 1})
-        lhs = kd_to_poly(total)
+        lhs = kd_to_poly(_statistic_counts(mvec, (1,) * k, (None,) * k))
         cross = sum(mvec[i] * mvec[j] for i in range(k) for j in range(i))
         if cross % 2:
             lhs = -lhs
@@ -369,8 +432,8 @@ def check_identity(prop, *, m=None, n=None, mvec=None, N=None):
         ell = len(mvec)
         kind = {"MOCHIZUKI": "GT", "JOYCE_LT": "LT", "JOYCE_B": "B"}[prop]
         lhs = LaurentPoly.zero()
-        for perm in itertools.permutations(mvec):
-            lhs = lhs + restricted_word_sum(kind, perm + (N - sum(mvec),))
+        for perm, mult in Counter(itertools.permutations(mvec)).items():
+            lhs = lhs + restricted_word_sum(kind, perm + (N - sum(mvec),)) * mult
         if prop == "MOCHIZUKI":
             rhs = _qfact_ratio(N, (N - sum(mvec),) + tuple(x - 1 for x in mvec))
             fact = 1

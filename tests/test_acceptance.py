@@ -114,7 +114,9 @@ def test_criterion_06_transfer_collapse():
 def test_criterion_07_formal_factorization():
     t0 = time.time()
     ok = all(joyce_check(4, N) and mochizuki_check(4, N) for N in (8, 9, 10))
-    report(7, ok, "formal factorization through Q^4 at frame dims 8-10, %.1fs" % (time.time() - t0))
+    ok = ok and joyce_check(6, 12) and mochizuki_check(6, 12)
+    report(7, ok, "formal factorization through Q^4 at frame dims 8-10 and through Q^6 "
+           "at frame dim 12, %.1fs" % (time.time() - t0))
 
 
 LEG_CHOICES = ((), (1,), (2,), (1, 1))

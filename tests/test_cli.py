@@ -76,6 +76,20 @@ def test_check_identities():
     assert payload["smallest_failure"] is None
 
 
+def test_check_identities_max_n_below_2_is_usage_error():
+    # below 2 some suites have no instance, and an empty suite must not
+    # pass as a verdict
+    for max_n in ("-3", "0", "1"):
+        proc = run_cli("check-identities", "--suite", "all", "--max-n", max_n)
+        assert proc.returncode == 2, max_n
+        assert "max-n" in proc.stderr and not proc.stdout
+    proc = run_cli("check-identities", "--suite", "all", "--max-n", "2")
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["verdict"] is True
+    assert all(suite["instances"] >= 1 for suite in payload["suites"])
+
+
 def test_check_wcf():
     proc = run_cli("check-wcf", "--order", "2", "--frame-dim", "6")
     assert proc.returncode == 0

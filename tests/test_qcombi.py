@@ -1,11 +1,15 @@
 """Word combinatorics, quantum integers, and the identity checkers."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
+from kvertex import qcombi
 from kvertex.exactalg import LaurentPoly, kappa_pow
 from kvertex.qcombi import (
+    ORDER_KINDS,
+    _word_stats,
     c_Q,
     c_word,
     check_identity,
@@ -180,6 +184,102 @@ def test_restricted_word_sum_basics():
         restricted_word_sum("XX", (1, 1))
     with pytest.raises(ValueError):
         restricted_word_sum("LT", (0, 1))
+
+
+def enumerated_word_sum(kind, mvec):
+    """restricted_word_sum word by word: the definition, read off every
+    rearrangement by enumerate_words and _word_stats."""
+    ell = len(mvec)
+    if mvec[-1] == 0:
+        if kind in ("B", "ALL"):
+            return LaurentPoly.zero()
+        mvec = mvec[:-1]
+    nletters = len(mvec)
+    chains = {
+        "GT": [(i + 1, i) for i in range(1, ell - 1)],
+        "LT": [(i, i + 1) for i in range(1, ell - 1)],
+        "B": [(ell, 1)] + [(i, i + 1) for i in range(1, ell - 1)],
+        "ALL": [(i, i + 1) for i in range(1, ell)],
+    }
+    factors = Counter()
+    for w in enumerate_words(mvec):
+        o, s = _word_stats(w, nletters)
+        if all(o[a] < o[b] for a, b in chains[kind]):
+            factors[tuple(mvec[i - 1] - s[i] for i in range(1, ell))] += 1
+    total = LaurentPoly.zero()
+    for args, count in factors.items():
+        prod = LaurentPoly.const(count)
+        for a in args:
+            prod = prod * quantum_int(a)
+        total = total + prod
+    return total
+
+
+def enumerated_inversion_sum(mvec):
+    """The QBINOM/QMULTINOM left side before its sign: the sum over
+    rearrangements of kappa^(sum_i S_i / 2)."""
+    stats = Counter(sum(_word_stats(w, len(mvec))[1]) for w in enumerate_words(mvec))
+    total = LaurentPoly.zero()
+    for e, count in stats.items():
+        total = total + kappa_pow(e) * count
+    return total
+
+
+def test_restricted_word_sum_matches_enumeration():
+    # every kind, every composition with remainder (zero included) up to
+    # N = 7, and the one-slot words (N,)
+    cases = 0
+    for N in range(1, 8):
+        for m in range(N + 1):
+            for comp in compositions(m):
+                full = comp + (N - m,)
+                for kind in ORDER_KINDS:
+                    got = restricted_word_sum(kind, full)
+                    assert str(got) == str(enumerated_word_sum(kind, full)), (kind, full)
+                    cases += 1
+    assert cases == 4 * sum(2 ** N for N in range(1, 8))
+
+
+def test_one_slot_remainder_first_sum_is_empty():
+    # B asks o_1 < o_1 when the remainder is the only slot
+    for N in range(1, 9):
+        assert restricted_word_sum("B", (N,)).is_zero(), N
+        assert restricted_word_sum("ALL", (N,)) == LaurentPoly.const(1), N
+        assert check_identity("JOYCE_B", mvec=(), N=N).verdict, N
+
+
+def test_inversion_sums_match_enumeration():
+    for m in range(1, 9):
+        for n in range(1, 10 - m):
+            lhs = check_identity("QBINOM", m=m, n=n).lhs
+            sign = -1 if (m * n) % 2 else 1
+            assert lhs == enumerated_inversion_sum((m, n)) * sign, (m, n)
+    for total in range(1, 8):
+        for mvec in compositions(total):
+            lhs = check_identity("QMULTINOM", mvec=mvec).lhs
+            cross = sum(a * b for a, b in itertools.combinations(mvec, 2))
+            sign = -1 if cross % 2 else 1
+            assert lhs == enumerated_inversion_sum(mvec) * sign, mvec
+
+
+def test_repeated_parts_are_summed_once_per_rearrangement():
+    for prop, kind in (("MOCHIZUKI", "GT"), ("JOYCE_LT", "LT"), ("JOYCE_B", "B")):
+        for mvec in ((2, 2, 2), (1, 1, 2), (3, 1, 1)):
+            N = sum(mvec) + 2
+            expect = LaurentPoly.zero()
+            for perm in itertools.permutations(mvec):
+                expect = expect + enumerated_word_sum(kind, perm + (N - sum(mvec),))
+            assert check_identity(prop, mvec=mvec, N=N).lhs == expect, (prop, mvec)
+
+
+def test_inexact_word_sum_division_raises(monkeypatch):
+    # counts for eps = (+1,) alone leave the numerator v^2, which
+    # v - v^-1 does not divide
+    monkeypatch.setattr(
+        qcombi, "_statistic_counts", lambda mvec, eps, pred: {0: 1} if eps[0] > 0 else {}
+    )
+    with pytest.raises(ArithmeticError, match=r"LT \(2, 1\)"):
+        restricted_word_sum("LT", (2, 1))
 
 
 def test_check_identity_examples():
