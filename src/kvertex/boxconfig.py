@@ -62,19 +62,7 @@ class BoxConfig:
     def widen(self, extra=1):
         """The same configuration at stabilization bound + extra."""
         nb = self.bound + extra
-        core = set(self.core)
-        for axis in range(3):
-            leg = self.legs[axis]
-            row_axis, col_axis = _AXPAIR[axis]
-            for r in range(len(leg)):
-                for s in range(leg[r]):
-                    for a in range(self.bound, nb):
-                        box = [0, 0, 0]
-                        box[axis] = a
-                        box[row_axis] = r
-                        box[col_axis] = s
-                        core.add(tuple(box))
-        return BoxConfig(self.legs, nb, frozenset(core))
+        return BoxConfig(self.legs, nb, self.core | minimal_core(self.legs, nb))
 
     def to_json(self):
         return {
@@ -130,7 +118,7 @@ def _predecessors(box):
         yield (a, b, c - 1)
 
 
-def enumerate_configs(l1=(), l2=(), l3=(), n=0, bound=None):
+def enumerate_configs(l1=(), l2=(), l3=(), n=0):
     """All T-fixed configurations with the given legs and renormalized
     volume n, each exactly once, in canonical order.
 
@@ -144,8 +132,7 @@ def enumerate_configs(l1=(), l2=(), l3=(), n=0, bound=None):
     extras = n - nmin
     if extras < 0:
         return
-    if bound is None:
-        bound = extras + leg_reach(legs) + 2
+    bound = extras + leg_reach(legs) + 2
     base = minimal_core(legs, bound)
     limit = bound - 2
 

@@ -31,32 +31,18 @@ def parse_legs(text):
         raise UsageError("bad partition: %s" % e)
 
 
-def _coeff_pretty(rf):
-    num = str(rf.num)
-    if rf.is_poly():
-        return num
-    return "(%s) / (%s)" % (num, rf.den)
-
-
-def _series_rows(vs):
-    rows = []
-    for i, c in enumerate(vs.series.coeffs):
-        rows.append((vs.series.min_power + i, c))
-    return rows
-
-
 def _emit_series(vs, fmt, out):
     if fmt == "json":
         out.write(json.dumps(vs.to_json(), sort_keys=True, indent=2))
         out.write("\n")
     elif fmt == "csv":
         out.write("power,coefficient\n")
-        for n, c in _series_rows(vs):
-            out.write('%d,"%s"\n' % (n, _coeff_pretty(c)))
+        for n, c in enumerate(vs.series.coeffs, vs.series.min_power):
+            out.write('%d,"%s"\n' % (n, c))
     else:
         out.write("%s vertex series, legs %s\n" % (vs.kind, list(map(list, vs.legs))))
-        for n, c in _series_rows(vs):
-            out.write("  Q^%d: %s\n" % (n, _coeff_pretty(c)))
+        for n, c in enumerate(vs.series.coeffs, vs.series.min_power):
+            out.write("  Q^%d: %s\n" % (n, c))
 
 
 def _open_out(path):
@@ -119,8 +105,7 @@ def cmd_check_identities(args, out):
     payload = report[0] if len(report) == 1 else {"suites": report, "verdict": all(r["verdict"] for r in report)}
     out.write(json.dumps(payload, sort_keys=True, indent=2))
     out.write("\n")
-    verdict = payload["verdict"] if "verdict" in payload else all(r["verdict"] for r in report)
-    return 0 if verdict else 1
+    return 0 if payload["verdict"] else 1
 
 
 def cmd_dt(args, out):
@@ -130,12 +115,7 @@ def cmd_dt(args, out):
 
 
 def cmd_pt(args, out):
-    text = os.environ.get("KVERTEX_GUARD_ORDER", "2")
-    try:
-        guard = int(text)
-    except ValueError:
-        raise UsageError("KVERTEX_GUARD_ORDER must be an integer, not %r" % text)
-    vs = vertexk.pt_vertex_series(*args.legs, order=args.order, jobs=args.jobs, guard=guard)
+    vs = vertexk.pt_vertex_series(*args.legs, order=args.order, jobs=args.jobs)
     _emit_series(vs, args.format, out)
     return 0
 

@@ -10,7 +10,7 @@ Word sums are not taken word by word. Every statistic they need grows,
 as a word is built left to right, by an amount read from the letter
 counts seen so far, and so does each first-occurrence constraint. So one
 recursion over those counts sums all words at once (_statistic_counts);
-enumerate_words stays for the negative control and as a test oracle.
+enumerate_words, c_word and _word_stats stay as the test oracle.
 
 Hot loops work on light "kappa dicts" mapping doubled half-powers of kappa
 to integer coefficients; the public API converts to LaurentPoly.
@@ -221,16 +221,19 @@ def _word_stats(w, nletters):
 ORDER_KINDS = ("GT", "LT", "B", "ALL")
 
 
-def _statistic_counts(mvec, eps, pred):
+def _statistic_counts(mvec, eps, pred, adjacent=True):
     """{sum_i eps[i] * S_i: number of words} over the rearrangements of
-    mvec whose first occurrences follow the chain pred.
+    mvec whose first occurrences follow the chain pred, with
+    S_i = sum_{j>i} c_{i,j}; without adjacent pairs, the term j = i + 1 is
+    left out of S_i.
 
     Letters are 0-based here. pred[x] is the letter that must occur before
     x first occurs, or None. Words are built left to right, and the state
     is the vector seen of letter counts so far: appending x adds seen[i]
-    to S_i for every i < x and subtracts sum_{j>x} seen[j] from S_x, and
-    whether x may occur is read from seen too. So each state keeps one
-    dict {statistic: word count} for all the words that reach it.
+    to S_i for every i < x and subtracts sum_{j>x} seen[j] from S_x
+    (i < x - 1 and j > x + 1 without adjacent pairs), and whether x may
+    occur is read from seen too. So each state keeps one dict
+    {statistic: word count} for all the words that reach it.
     """
     nletters = len(mvec)
     layer = {(0,) * nletters: {0: 1}}
@@ -248,6 +251,11 @@ def _statistic_counts(mvec, eps, pred):
                 p = pred[x]
                 if not seen[x] and p is not None and not seen[p]:
                     continue
+                if not adjacent:
+                    if x:
+                        step -= eps[x - 1] * seen[x - 1]
+                    if x + 1 < nletters:
+                        step += eps[x] * seen[x + 1]
                 key = seen[:x] + (seen[x] + 1,) + seen[x + 1:]
                 acc = nxt.get(key)
                 if acc is None:
@@ -282,6 +290,36 @@ def _chain(kind, ell, nletters):
 _V_DIFF = kappa_pow(-1) - kappa_pow(1)
 
 
+def _factor_product_sum(label, letters, k, counts):
+    """Sum over words of prod_{i<k} [m_i - T_i], with m = letters and
+    counts(eps) = {sum_i eps_i T_i: number of words} for any sign vector
+    eps on the letters (zero past k).
+
+    With v = -kappa^(1/2) each factor is [a] = (v^a - v^-a) / (v - v^-1),
+    so the product expands over sign vectors into monomials in the one
+    statistic sum_i eps_i T_i, and the numerator is divided exactly by
+    (v - v^-1)^k.
+    """
+    zeros = (0,) * (len(letters) - k)
+    numer = {}
+    for signs in itertools.product((1, -1), repeat=k):
+        sign = 1
+        base = 0
+        for e, m in zip(signs, letters):
+            sign *= e
+            base += e * m
+        for t, c in counts(signs + zeros).items():
+            # v^e = (-1)^e kappa^(e/2)
+            e = base - t
+            numer[e] = numer.get(e, 0) + (-sign if e % 2 else sign) * c
+    quotient = kd_to_poly(numer)
+    for _ in range(k):
+        quotient = divide_exact(quotient, _V_DIFF)
+        if quotient is None:
+            raise ArithmeticError("%s is not divisible by (v - v^-1)^%d" % (label, k))
+    return quotient
+
+
 def restricted_word_sum(kind, mvec):
     """Sum over rearrangements of 1^m1 ... l^ml, restricted by an ordering
     constraint on first occurrences, of prod_{i<l} [m_i - sum_{j>i} c_{i,j}].
@@ -291,11 +329,8 @@ def restricted_word_sum(kind, mvec):
     slot is the rank-one remainder and may have multiplicity zero, in which
     case constraints that mention o_l are unsatisfiable and the sum is 0.
 
-    With v = -kappa^(1/2) each factor is [a] = (v^a - v^-a) / (v - v^-1),
-    so the product expands over sign vectors eps into monomials in the one
-    statistic sum_i eps_i S_i, with S_i = sum_{j>i} c_{i,j}. For each eps
-    _statistic_counts sums every word at once, and the numerator is
-    divided exactly by (v - v^-1)^(l-1).
+    _statistic_counts sums every word at once for each sign vector of the
+    expansion in _factor_product_sum.
     """
     if kind not in ORDER_KINDS:
         raise ValueError("unknown ordering kind %r" % (kind,))
@@ -313,28 +348,22 @@ def restricted_word_sum(kind, mvec):
         if not letters:
             return LaurentPoly.const(1)
     pred = _chain(kind, ell, len(letters))
-    k = ell - 1
-    zeros = (0,) * (len(letters) - k)
-    numer = {}
-    for signs in itertools.product((1, -1), repeat=k):
-        sign = 1
-        base = 0
-        for e, m in zip(signs, letters):
-            sign *= e
-            base += e * m
-        for t, c in _statistic_counts(letters, signs + zeros, pred).items():
-            # v^e = (-1)^e kappa^(e/2)
-            e = base - t
-            numer[e] = numer.get(e, 0) + (-sign if e % 2 else sign) * c
-    quotient = kd_to_poly(numer)
-    for _ in range(k):
-        quotient = divide_exact(quotient, _V_DIFF)
-        if quotient is None:
-            raise ArithmeticError(
-                "restricted word sum %s %r is not divisible by (v - v^-1)^%d"
-                % (kind, mvec, k)
-            )
-    return quotient
+    return _factor_product_sum(
+        "restricted word sum %s %r" % (kind, mvec), letters, ell - 1,
+        lambda eps: _statistic_counts(letters, eps, pred))
+
+
+def shifted_word_sum(mvec):
+    """Negative control for the LT word sum: the same sum with each inner
+    index sum shifted by one, prod_{i<l} [m_i - sum_{j>i+1} c_{i,j}], so
+    the adjacent pair (i, i+1) drops out. Every letter must occur."""
+    mvec = tuple(mvec)
+    if not mvec or any(m < 1 for m in mvec):
+        raise ValueError("multiplicities must be positive")
+    pred = _chain("LT", len(mvec), len(mvec))
+    return _factor_product_sum(
+        "shifted word sum %r" % (mvec,), mvec, len(mvec) - 1,
+        lambda eps: _statistic_counts(mvec, eps, pred, adjacent=False))
 
 
 # -- identity suites -------------------------------------------------------

@@ -325,24 +325,33 @@ def dt_vertex_series(l1=(), l2=(), l3=(), order=0, jobs=1):
     return VertexSeries("DT", legs, QSeries(nmin, coeffs, order))
 
 
-def pt_vertex_series(l1=(), l2=(), l3=(), order=0, jobs=1, guard=2, dt=None, dt0=None):
+def _dt_through(vs, legs, order, jobs):
+    """The DT series of the legs through exactly Q^order: computed, or cut
+    from a series passed in."""
+    if vs is None:
+        return dt_vertex_series(*legs, order=order, jobs=jobs).series
+    if vs.series.trunc < order:
+        raise ValueError("the PT quotient needs the legs %s series through Q^%d, not Q^%d"
+                         % (list(map(list, legs)), order, vs.series.trunc))
+    return vs.series.truncate(order)
+
+
+def pt_vertex_series(l1=(), l2=(), l3=(), order=0, jobs=1, dt=None, dt0=None):
     """Stable-pairs vertex series, defined as the quotient of the full
     box-counting series by its 0-leg specialization.
 
-    Computed with a guard of extra orders and re-truncated, so accidental
-    dependence on the truncation shows up as a test failure rather than a
-    wrong coefficient. Precomputed dt and dt0 series (to at least the
-    working order) may be passed in to share work across calls.
+    Series arithmetic keeps exactly the coefficients its inputs determine,
+    so the quotient through Q^order needs DT through Q^order and DT_0
+    through Q^(order - n_min), where n_min <= 0 is the minimal volume of
+    the legs. Both are computed to just those orders; precomputed dt and
+    dt0 series reaching at least as far may be passed in to share work
+    across calls.
     """
     legs = (tuple(l1), tuple(l2), tuple(l3))
     nmin = min_volume(*legs)
-    work = order + max(0, guard) + max(0, -nmin)
-    if dt is None:
-        dt = dt_vertex_series(*legs, order=work, jobs=jobs)
-    if dt0 is None:
-        dt0 = dt_vertex_series(order=work, jobs=jobs)
-    quot = dt.series.truncate(work) / dt0.series.truncate(work)
-    return VertexSeries("PT", legs, quot.truncate(order))
+    num = _dt_through(dt, legs, order, jobs)
+    den = _dt_through(dt0, ((), (), ()), order - nmin, jobs)
+    return VertexSeries("PT", legs, num / den)
 
 
 def _framing_ratio_exps(framing, b, a):

@@ -19,13 +19,10 @@ from fractions import Fraction
 
 from .exactalg import LaurentPoly, QSeries, RatFunc
 from .qcombi import (
-    _word_stats,
-    c_word,
     compositions,
-    enumerate_words,
     quantum_factorial,
-    quantum_int,
     restricted_word_sum,
+    shifted_word_sum,
 )
 
 HILB = "hilb"
@@ -202,22 +199,6 @@ def _hilb_monomial(mvec):
     )
 
 
-def _shifted_word_sum(full):
-    """Negative control: the LT word sum with the inner index sum shifted
-    by one (drops the adjacent-letter pairing term)."""
-    ell = len(full)
-    total = LaurentPoly.zero()
-    for w in enumerate_words(full):
-        o, s = _word_stats(w, ell)
-        if not all(o[i] < o[i + 1] for i in range(1, ell - 1)):
-            continue
-        prod = LaurentPoly.const(1)
-        for i in range(1, ell):
-            prod = prod * quantum_int(full[i - 1] - s[i] + c_word(w, i, i + 1))
-        total = total + prod
-    return total
-
-
 # Transfer kinds. Each entry gives the word sum of mvec + (N - m,) for a
 # composition mvec of m, the shifts (a, b) of the prefactor
 # [N-m-a]! prod [m_i - 1]! / [N-b]!, and whether the term carries the
@@ -233,7 +214,7 @@ _KINDS = {
     # the one-go iterated crossing of pt_from_dt_series
     "GT": (lambda full: restricted_word_sum("GT", full), 0, 0, True),
     # negative control of joyce_check
-    "SHIFTED": (_shifted_word_sum, 0, 0, False),
+    "SHIFTED": (shifted_word_sum, 0, 0, False),
 }
 
 
@@ -286,12 +267,11 @@ def W_pm(sign, m, N):
     return _composition_sum(kind, m, N)
 
 
-def hilb_symbol_series(order, trunc=None):
+def hilb_symbol_series(order):
     """1 + sum_{m>=1} Q^m hilb[m], truncated."""
-    trunc = order if trunc is None else trunc
     coeffs = [FormalExpr.scalar(1)]
-    coeffs += [FormalExpr.symbol(HILB, m) for m in range(1, trunc + 1)]
-    return QSeries(0, coeffs, trunc)
+    coeffs += [FormalExpr.symbol(HILB, m) for m in range(1, order + 1)]
+    return QSeries(0, coeffs, order)
 
 
 def pair_symbol_series(order):

@@ -195,8 +195,8 @@ def test_criterion_12_pt_stability(dt0_through_8, dt_leg1_through_6):
     # the same quotient computed at truncation orders 4 and 6 must agree
     # through order 4, and multiplying back must reproduce the legged
     # series exactly through the truncation
-    pt6 = pt_vertex_series((1,), order=6, guard=0, dt=dt1, dt0=dt0)
-    pt4 = pt_vertex_series((1,), order=4, guard=0, dt=dt1, dt0=dt0)
+    pt6 = pt_vertex_series((1,), order=6, dt=dt1, dt0=dt0)
+    pt4 = pt_vertex_series((1,), order=4, dt=dt1, dt0=dt0)
     ok = pt4.series.eq_through(pt6.series, 4)
     ok = ok and (pt6.series * dt0.series.truncate(6)).eq_through(dt1.series, 6)
     report(12, ok, "quotient stable under re-truncation, defining identity exact, %.0fs" % (time.time() - t0))

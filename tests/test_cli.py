@@ -1,18 +1,18 @@
 """Command-line surface: parsing, exit codes, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 
+from kvertex import vertexk
 
-def run_cli(*args, env=None):
+
+def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "kvertex.cli", *args],
         capture_output=True,
         text=True,
         timeout=600,
-        env=None if env is None else {**os.environ, **env},
     )
     return proc
 
@@ -23,12 +23,6 @@ def test_usage_errors_exit_2():
     assert run_cli("dt-vertex", "--legs", "1;2", "--order", "1").returncode == 2
     assert run_cli("no-such-command").returncode == 2
     assert run_cli("dt-vertex", "--order", "1", "--bogus-flag").returncode == 2
-
-
-def test_bad_guard_order_is_usage_error():
-    proc = run_cli("pt-vertex", "--order", "1", env={"KVERTEX_GUARD_ORDER": "abc"})
-    assert proc.returncode == 2
-    assert "usage error" in proc.stderr and "KVERTEX_GUARD_ORDER" in proc.stderr
 
 
 def test_dt_vertex_json_deterministic(tmp_path):
@@ -102,6 +96,20 @@ def test_bridge():
     proc = run_cli("bridge", "--order", "1", "--frame-dim", "6")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] is True
+
+
+def test_pt_vertex_matches_deeper_quotient():
+    # the quotient at its minimal orders equals one of series computed two
+    # orders deeper, cut back to the same order
+    legs = ((1,), (1,), ())
+    proc = run_cli("pt-vertex", "--legs", "1;1;", "--order", "2", "--jobs", "1")
+    assert proc.returncode == 0
+    quot = (
+        vertexk.dt_vertex_series(*legs, order=4).series
+        / vertexk.dt_vertex_series(order=5).series
+    ).truncate(2)
+    expect = vertexk.VertexSeries("PT", legs, quot)
+    assert proc.stdout == json.dumps(expect.to_json(), sort_keys=True, indent=2) + "\n"
 
 
 def test_pt_vertex_pretty():

@@ -23,6 +23,7 @@ from kvertex.qcombi import (
     quantum_factorial,
     quantum_int,
     restricted_word_sum,
+    shifted_word_sum,
 )
 
 
@@ -238,6 +239,38 @@ def test_restricted_word_sum_matches_enumeration():
                     assert str(got) == str(enumerated_word_sum(kind, full)), (kind, full)
                     cases += 1
     assert cases == 4 * sum(2 ** N for N in range(1, 8))
+
+
+def enumerated_shifted_word_sum(full):
+    """shifted_word_sum word by word: the LT word sum with the inner index
+    sum shifted by one, c_{i,i+1} added back to each factor."""
+    ell = len(full)
+    total = LaurentPoly.zero()
+    for w in enumerate_words(full):
+        o, s = _word_stats(w, ell)
+        if not all(o[i] < o[i + 1] for i in range(1, ell - 1)):
+            continue
+        prod = LaurentPoly.const(1)
+        for i in range(1, ell):
+            prod = prod * quantum_int(full[i - 1] - s[i] + c_word(w, i, i + 1))
+        total = total + prod
+    return total
+
+
+def test_shifted_word_sum_matches_enumeration():
+    # every composition with a positive remainder up to N = 7, and the
+    # one-slot words (N,)
+    cases = 0
+    for N in range(1, 8):
+        for m in range(N):
+            for comp in compositions(m):
+                full = comp + (N - m,)
+                got = shifted_word_sum(full)
+                assert str(got) == str(enumerated_shifted_word_sum(full)), full
+                cases += 1
+    assert cases == sum(2 ** (N - 1) for N in range(1, 8))
+    with pytest.raises(ValueError):
+        shifted_word_sum((2, 0))
 
 
 def test_one_slot_remainder_first_sum_is_empty():

@@ -160,6 +160,26 @@ def test_pt_defining_identity():
     # re-truncation stability
     pt_lo = pt_vertex_series((1,), order=2, dt=dt1, dt0=dt0)
     assert pt_lo.series.eq_through(pt.series, 2)
+    # two legs meet in a box, so n_min = -1 and DT_0 is needed through Q^3
+    legs = ((1,), (1,))
+    dt11 = dt_vertex_series(*legs, order=3)
+    pt = pt_vertex_series(*legs, order=2, dt=dt11, dt0=dt0)
+    assert pt.series.min_power == min_volume(*legs) == -1
+    assert pt.series.trunc == 2
+    assert (pt.series * dt0.series).eq_through(dt11.series, 2)
+    pt_lo = pt_vertex_series(*legs, order=1, dt=dt11, dt0=dt0)
+    assert pt_lo.series.eq_through(pt.series, 1)
+    assert pt_vertex_series(*legs, order=2).to_json() == pt.to_json()
+
+
+def test_pt_short_input_series_name_the_order_needed():
+    legs = ((1,), (1,))
+    dt0 = dt_vertex_series(order=2)
+    dt11 = dt_vertex_series(*legs, order=2)
+    with pytest.raises(ValueError, match=r"through Q\^3"):
+        pt_vertex_series(*legs, order=2, dt=dt11, dt0=dt0)
+    with pytest.raises(ValueError, match=r"through Q\^2"):
+        pt_vertex_series(*legs, order=2, dt=dt_vertex_series(*legs, order=1))
 
 
 def test_quot2_small_orders():

@@ -117,6 +117,7 @@ def test_pt_transfer_series_is_shifted_product():
 def test_joyce_check_and_negative_control():
     assert joyce_check(3, 8)
     assert not joyce_check(3, 8, corrupt=True)
+    assert not joyce_check(6, 12, corrupt=True)
     assert joyce_check(0, 4)
     with pytest.raises(ValueError):
         joyce_check(8, 8)
