@@ -73,18 +73,11 @@ def _suite_instances(suite, max_n):
 
 
 def run_suite(suite, max_n):
-    prop = {
-        "qbinom": "QBINOM",
-        "qmultinom": "QMULTINOM",
-        "mochizuki": "MOCHIZUKI",
-        "joyce_lt": "JOYCE_LT",
-        "joyce_b": "JOYCE_B",
-    }[suite]
     records = []
     ok = True
     first_failure = None
     for args in _suite_instances(suite, max_n):
-        res = qcombi.check_identity(prop, **{k: (tuple(v) if k == "mvec" else v) for k, v in args.items()})
+        res = qcombi.check_identity(suite.upper(), **args)
         records.append(res.to_json())
         if not res.verdict and first_failure is None:
             first_failure = res.to_json()

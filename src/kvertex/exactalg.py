@@ -182,6 +182,13 @@ class LaurentPoly:
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
+    def __hash__(self):
+        # a constant polynomial equals its constant, so it hashes as one
+        c = self.as_constant()
+        if c is not None:
+            return hash(c)
+        return hash(sum(self.d)) ^ len(self.d)
+
     def __neg__(self):
         return LaurentPoly({k: -c for k, c in self.d.items()})
 
@@ -560,32 +567,38 @@ def divide_exact(p, q):
     return LaurentPoly(out)
 
 
-def _poly_key(p):
-    """Hashable canonical key for a polynomial (used to pool denominator
-    factors)."""
-    items = []
-    for e, c in p.terms():
-        f = Fraction(c)
-        items.append((e, f.numerator, f.denominator))
-    return tuple(items)
+def _fold_factor(num, fac, poly, mult):
+    """num / poly^mult with the denominator kept factored: the rational
+    content and monomial of poly go into the numerator, which is returned,
+    and its primitive part into the factor dict fac."""
+    g, shiftexp, prim = poly.primitive_split()
+    if g != 1:
+        num = num * (1 / Fraction(g)) ** mult
+    num = num.shift(tuple(-mult * x for x in shiftexp))
+    if not prim.is_constant():
+        fac[prim] = fac.get(prim, 0) + mult
+    return num
 
 
-def _poly_from_key(key):
-    return LaurentPoly.from_terms(
-        (_coeff_clean(Fraction(n, d)), e) for e, n, d in key
-    )
+def _catch_up(num, want, have):
+    """num * prod f^(e - have[f]) over the factors f^e of want."""
+    for f, e in want.items():
+        extra = e - have.get(f, 0)
+        if extra:
+            num = num * f ** extra
+    return num
 
 
 class RatFunc:
     """Normalized rational function num / prod(factor^mult).
 
-    The denominator is kept factored: a dict mapping factor keys (canonical
-    primitive polynomials, lex-leading coefficient +1) to positive
-    multiplicities. The pair is reduced by trial division: no stored factor
-    divides the numerator. Rational and monomial content of the denominator
-    is always folded into the numerator, so the expanded denominator is
-    primitive with lex-leading coefficient +1, which makes equality of
-    normal forms decidable and serialization canonical.
+    The denominator is kept factored: a dict mapping primitive factor
+    polynomials (integer content 1, lex-leading coefficient +1, no monomial
+    content) to positive multiplicities. The pair is reduced by trial
+    division: no stored factor divides the numerator. Rational and monomial
+    content of the denominator is always folded into the numerator, so the
+    expanded denominator is primitive with lex-leading coefficient +1, which
+    makes equality of normal forms decidable and serialization canonical.
     """
 
     __slots__ = ("num", "fac")
@@ -597,15 +610,8 @@ class RatFunc:
             den = LaurentPoly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("division by zero")
-        fac = {}
-        if not den.is_constant() or den.as_constant() != 1:
-            g, shiftexp, prim = den.primitive_split()
-            num = num * (1 / Fraction(g))
-            num = num.shift(tuple(-x for x in shiftexp))
-            if not prim.is_constant():
-                fac[_poly_key(prim)] = 1
-        self.num = num
-        self.fac = fac
+        self.fac = {}
+        self.num = _fold_factor(num, self.fac, den, 1)
         self._reduce()
 
     @staticmethod
@@ -624,29 +630,25 @@ class RatFunc:
         return r
 
     def _reduce(self):
-        if self.num.is_zero():
+        # One pass suffices: a factor that does not divide num cannot
+        # divide a quotient of num either.
+        num = self.num
+        if num.is_zero():
             self.fac = {}
             return
-        if not self.fac:
-            return
-        num = self.num
-        changed = True
-        while changed:
-            changed = False
-            for key in list(self.fac):
-                mult = self.fac[key]
-                factor = _poly_from_key(key)
-                while mult > 0:
-                    q = divide_exact(num, factor)
-                    if q is None:
-                        break
-                    num = q
-                    mult -= 1
-                    changed = True
-                if mult:
-                    self.fac[key] = mult
-                else:
-                    del self.fac[key]
+        fac = self.fac
+        for f in list(fac):
+            mult = fac[f]
+            while mult:
+                q = divide_exact(num, f)
+                if q is None:
+                    break
+                num = q
+                mult -= 1
+            if mult:
+                fac[f] = mult
+            else:
+                del fac[f]
         self.num = num
 
     # -- constructors ---------------------------------------------------
@@ -671,10 +673,9 @@ class RatFunc:
     def den(self):
         """The expanded denominator (primitive, lex-leading coefficient
         +1)."""
-        out = ONE
-        for key, mult in sorted(self.fac.items()):
-            out = out * (_poly_from_key(key) ** mult)
-        return out
+        # canonical factor order, whatever order the factors came in
+        order = sorted(self.fac, key=LaurentPoly.terms)
+        return _catch_up(ONE, {f: self.fac[f] for f in order}, {})
 
     def is_zero(self):
         return self.num.is_zero()
@@ -693,8 +694,8 @@ class RatFunc:
 
     def uses_vars(self):
         used = self.num.uses_vars()
-        for key in self.fac:
-            used |= _poly_from_key(key).uses_vars()
+        for f in self.fac:
+            used |= f.uses_vars()
         return used
 
     # -- arithmetic ---------------------------------------------------
@@ -711,19 +712,11 @@ class RatFunc:
         if other.num.is_zero():
             return self
         lcm = dict(self.fac)
-        for key, mult in other.fac.items():
-            if lcm.get(key, 0) < mult:
-                lcm[key] = mult
-        a = self.num
-        for key, mult in lcm.items():
-            extra = mult - self.fac.get(key, 0)
-            if extra:
-                a = a * (_poly_from_key(key) ** extra)
-        b = other.num
-        for key, mult in lcm.items():
-            extra = mult - other.fac.get(key, 0)
-            if extra:
-                b = b * (_poly_from_key(key) ** extra)
+        for f, mult in other.fac.items():
+            if lcm.get(f, 0) < mult:
+                lcm[f] = mult
+        a = _catch_up(self.num, lcm, self.fac)
+        b = _catch_up(other.num, lcm, other.fac)
         return RatFunc._raw(a + b, lcm)
 
     __radd__ = __add__
@@ -744,8 +737,8 @@ class RatFunc:
         if self.num.is_zero() or other.num.is_zero():
             return RatFunc.zero()
         fac = dict(self.fac)
-        for key, mult in other.fac.items():
-            fac[key] = fac.get(key, 0) + mult
+        for f, mult in other.fac.items():
+            fac[f] = fac.get(f, 0) + mult
         return RatFunc._raw(self.num * other.num, fac)
 
     __rmul__ = __mul__
@@ -753,15 +746,8 @@ class RatFunc:
     def inverse(self):
         if self.num.is_zero():
             raise ZeroDivisionError("division by zero")
-        num = ONE
-        for key, mult in self.fac.items():
-            num = num * (_poly_from_key(key) ** mult)
-        g, shiftexp, prim = self.num.primitive_split()
-        num = num * (1 / Fraction(g))
-        num = num.shift(tuple(-x for x in shiftexp))
         fac = {}
-        if not prim.is_constant():
-            fac[_poly_key(prim)] = 1
+        num = _fold_factor(_catch_up(ONE, self.fac, {}), fac, self.num, 1)
         return RatFunc._raw(num, fac)
 
     def __truediv__(self, other):
@@ -786,18 +772,10 @@ class RatFunc:
         if other is NotImplemented:
             return other
         shared = {}
-        for key in self.fac.keys() & other.fac.keys():
-            shared[key] = min(self.fac[key], other.fac[key])
-        a = self.num
-        for key, mult in other.fac.items():
-            extra = mult - shared.get(key, 0)
-            if extra:
-                a = a * (_poly_from_key(key) ** extra)
-        b = other.num
-        for key, mult in self.fac.items():
-            extra = mult - shared.get(key, 0)
-            if extra:
-                b = b * (_poly_from_key(key) ** extra)
+        for f in self.fac.keys() & other.fac.keys():
+            shared[f] = min(self.fac[f], other.fac[f])
+        a = _catch_up(self.num, other.fac, shared)
+        b = _catch_up(other.num, self.fac, shared)
         return a == b
 
     def __ne__(self, other):
@@ -807,13 +785,8 @@ class RatFunc:
     def bar(self):
         num = self.num.bar()
         fac = {}
-        for key, mult in self.fac.items():
-            g, shiftexp, prim = _poly_from_key(key).bar().primitive_split()
-            num = num * ((1 / Fraction(g)) ** mult)
-            num = num.shift(tuple(-mult * x for x in shiftexp))
-            if not prim.is_constant():
-                pk = _poly_key(prim)
-                fac[pk] = fac.get(pk, 0) + mult
+        for f, mult in self.fac.items():
+            num = _fold_factor(num, fac, f.bar(), mult)
         return RatFunc._raw(num, fac)
 
     # -- substitutions --------------------------------------------------

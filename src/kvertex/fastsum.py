@@ -20,11 +20,11 @@ three layouts:
 Each leaf starts sparse, or as a dict when one of its factors leaves the
 12-bit lanes. A merge with a dict operand runs on dicts. Otherwise the
 merge goes dense when both operands share per-lane parity and the predicted
-box of the sum has at most _DENSE_FILL cells per operand term and at most
-_DENSE_CELLS cells, and stays sparse if not. When an int64 merge or
-division raises FastSumUnavailable, that one merge or division is redone on
-dicts, and the numerator stays a dict from then on. No layout changes the
-merge order or the trial divisions, so all give the same result.
+box of the sum has at most _DENSE_FILL cells per operand term, and stays
+sparse if not. When an int64 merge or division raises FastSumUnavailable,
+that one merge or division is redone on dicts, and the numerator stays a
+dict from then on. No layout changes the merge order or the trial
+divisions, so all give the same result.
 
 Exactness of the int64 layouts is kept by range checks: every coefficient
 stays below _COEFF_LIMIT; sparse lanes are checked against the true lane
@@ -67,9 +67,9 @@ _LANE_MAX = _OFF - 1
 _COEFF_LIMIT = 1 << 61
 _SUM_LIMIT = 1 << 62
 # A merge goes dense when its predicted box has at most this many cells per
-# operand term, and at most _DENSE_CELLS cells in all.
+# operand term: 64 B of box per term, against 16 B per term (before growth
+# and sort scratch) for the sparse arrays, so this is the byte budget too.
 _DENSE_FILL = 8
-_DENSE_CELLS = 1 << 22
 
 
 class FastSumUnavailable(Exception):
@@ -426,7 +426,7 @@ def _goes_dense(a, grow_a, b, grow_b):
     cells = 1
     for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b):
         cells *= (max(ha, hb) - min(la, lb)) // 2 + 1
-    if cells > min(_DENSE_FILL * terms, _DENSE_CELLS):
+    if cells > _DENSE_FILL * terms:
         return False
     return _shares_parity(a) and _shares_parity(b)
 

@@ -37,8 +37,8 @@ from .exactalg import (
     QSeries,
     RatFunc,
     _PARITY,
+    _fold_factor,
     _kneg,
-    _poly_key,
     divide_exact,
 )
 from .fastsum import _half_binomial
@@ -235,11 +235,7 @@ def _pair_to_ratfunc(pair):
     num, den = pair
     fac = {}
     for m, e in sorted(den.items()):
-        f = _half_binomial(m)
-        _, shiftexp, prim = f.primitive_split()
-        num = num.shift(tuple(-e * x for x in shiftexp))
-        key = _poly_key(prim)
-        fac[key] = fac.get(key, 0) + e
+        num = _fold_factor(num, fac, _half_binomial(m), e)
     return RatFunc._prereduced(num, fac)
 
 

@@ -39,6 +39,14 @@ def test_ring_axioms_random():
         assert a * ONE == a
         assert a + LaurentPoly.zero() == a
         assert a - a == LaurentPoly.zero()
+        # hashing agrees with equality whatever order the terms came in
+        rev = LaurentPoly.from_terms((c, e) for e, c in reversed(a.terms()))
+        assert rev == a and hash(rev) == hash(a)
+        assert hash(a * b) == hash(b * a)
+    # a constant polynomial equals its constant, so hashes as it
+    for c in (3, 0, -1, Fraction(1, 2)):
+        assert LaurentPoly.const(c) == c
+        assert hash(LaurentPoly.const(c)) == hash(c)
 
 
 def test_bar_involution_and_homomorphism():
@@ -83,6 +91,7 @@ def test_divide_exact_roundtrip():
 
 def test_ratfunc_normalize_examples():
     assert ratfunc_normalize(T1 - T1 * T1, ONE - T1) == RatFunc.from_poly(T1)
+    assert ratfunc_normalize(T1 - T1 * T1, ONE - T1).is_poly()
     assert ratfunc_normalize(LaurentPoly.zero(), ONE - T2).is_zero()
     half_t1 = ratfunc_normalize(2 * T1, LaurentPoly.const(4))
     assert half_t1.is_poly()
@@ -121,6 +130,21 @@ def test_ratfunc_arithmetic():
     assert a * (ONE - T1) == RatFunc.one()
     assert (a / a) == RatFunc.one()
     assert a.inverse() * a == RatFunc.one()
+    # a repeated factor (1 - t1)^2 and a factor 1 - t1^2 sharing a root
+    r = RatFunc(T2 + T3, ONE - T1) * RatFunc(ONE, ONE - T1) * RatFunc(ONE, ONE - T1 * T1)
+    s = RatFunc(ONE + T3, (ONE - T1 * T1) * (ONE - T2))
+    assert sorted(r.fac.values()) == [1, 2]
+    assert r.den == (T1 - ONE) ** 2 * (T1 * T1 - ONE)
+    assert (r + s) - s == r
+    assert list((r * (ONE - T1) ** 2).fac.values()) == [1]  # (1 - t1)^2 cancels
+    assert r.bar().bar() == r
+    assert r.inverse().inverse() == r
+    assert r * r.inverse() == RatFunc.one()
+    # a numerator with content 2: the inverse folds 1/2 into its numerator
+    c = RatFunc(2 * T1 + 2 * T2, ONE - T3)
+    assert c.inverse().num == (ONE - T3) * Fraction(1, 2)
+    assert c.inverse() == RatFunc(ONE - T3, 2 * T1 + 2 * T2)
+    assert c.inverse().inverse() == c
 
 
 def one_series(trunc):
