@@ -1,7 +1,7 @@
 """kvertex: exact equivariant box-counting vertex series and the
 combinatorial wall-crossing identities relating them."""
 
-from .exactalg import LaurentPoly, QSeries, RatFunc, bar, ratfunc_normalize
+from .exactalg import LaurentPoly, QSeries, RatFunc
 from .qcombi import (
     check_identity,
     enumerate_words,
@@ -42,8 +42,6 @@ __all__ = [
     "LaurentPoly",
     "QSeries",
     "RatFunc",
-    "bar",
-    "ratfunc_normalize",
     "check_identity",
     "enumerate_words",
     "quantum_factorial",

@@ -138,11 +138,6 @@ class LaurentPoly:
             return self.d[PACK_ZERO]
         return None
 
-    def is_integral(self):
-        """True iff every exponent is a genuine integer (doubled value
-        even)."""
-        return all(k & _PARITY == 0 for k in self.d)
-
     def terms(self):
         """Terms in canonical (ascending lex on doubled exponents) order."""
         return [(_unpack(k), self.d[k]) for k in sorted(self.d)]
@@ -312,11 +307,6 @@ class LaurentPoly:
         off = _pack(exps) - PACK_ZERO
         return LaurentPoly({k + off: c for k, c in self.d.items()})
 
-    def leading(self):
-        """(exps, coeff) of the lexicographically greatest monomial."""
-        k = max(self.d)
-        return _unpack(k), self.d[k]
-
     def rational_content(self):
         """Positive rational g with self/g integer-primitive."""
         from math import gcd
@@ -354,28 +344,6 @@ class LaurentPoly:
         for k, coeff in self.d.items():
             a, b, c, d4, d5 = _unpack(k)
             e = _pack((a - c, b - c, 0, d4, d5))
-            s = d.get(e, 0) + coeff
-            if s:
-                d[e] = _coeff_clean(s)
-            elif e in d:
-                del d[e]
-        return LaurentPoly(d)
-
-    def subst_w(self, which, target_exps):
-        """w1 (which=0) or w2 (which=1) -> the monomial with the given
-        doubled exponents."""
-        slot = 3 + which
-        d = {}
-        for k, coeff in self.d.items():
-            exps = list(_unpack(k))
-            x = exps[slot]
-            if x % 2:
-                raise ValueError("half power of a framing variable")
-            exps[slot] = 0
-            if x:
-                half = x // 2
-                exps = [a + half * t for a, t in zip(exps, target_exps)]
-            e = _pack(exps)
             s = d.get(e, 0) + coeff
             if s:
                 d[e] = _coeff_clean(s)
@@ -428,19 +396,16 @@ def kappa_pow(doubled):
     return LaurentPoly.term(1, (doubled, doubled, doubled, 0, 0))
 
 
-def bar(p):
-    """Involution x -> x^(-1) on every variable, extended linearly."""
-    return p.bar()
-
-
 def _divide_by_binomial(p, q):
-    """Exact quotient p/q for a two-term divisor, or None.
+    """Exact quotient p/q for a two-term divisor with coefficients +-1, or
+    None.
 
     Terms of p are grouped into lines along the divisor's exponent
     direction; on each line the quotient obeys a first-order recurrence.
-    For unit divisor coefficients a weighted line-sum precheck rejects
-    non-divisible inputs in linear time, the common case inside the
-    trial-division reduction loops.
+    With divisor c1 (t^mu + s), p is divisible only if sum (-s)^j p_j
+    vanishes on every line, a linear-time precheck that rejects the
+    common case inside the trial-division reduction loops before any
+    structure is built.
     """
     (k1, c1), (k2, c2) = sorted(q.d.items(), reverse=True)
     mu = k1 - k2
@@ -450,21 +415,17 @@ def _divide_by_binomial(p, q):
     s0 = _SHIFTS[i0]
     step = e1[i0] - e2[i0]
     lane2 = (k2 >> s0) & _MASK
-    unit = (c1 == 1 or c1 == -1) and (c2 == 1 or c2 == -1)
-    if unit:
-        # divisor ~ c1 (t^mu + s); divisible only if sum (-s)^j p_j
-        # vanishes on every line, checked before any structure is built
-        alt = c1 == c2
-        sums = {}
-        get = sums.get
-        for k, c in p.d.items():
-            j = (((k >> s0) & _MASK) - lane2) // step
-            base = k - j * mu
-            if alt and j % 2:
-                c = -c
-            sums[base] = get(base, 0) + c
-        if any(sums.values()):
-            return None
+    alt = c1 == c2
+    sums = {}
+    get = sums.get
+    for k, c in p.d.items():
+        j = (((k >> s0) & _MASK) - lane2) // step
+        base = k - j * mu
+        if alt and j % 2:
+            c = -c
+        sums[base] = get(base, 0) + c
+    if any(sums.values()):
+        return None
     lines = {}
     for k, c in p.d.items():
         j = (((k >> s0) & _MASK) - lane2) // step
@@ -482,20 +443,11 @@ def _divide_by_binomial(p, q):
         pos = terms[0][0]
         for j, c in terms:
             while pos < j and qprev:
-                if unit:
-                    qprev = -qprev * c1 * c2
-                else:
-                    qprev = _coeff_clean(
-                        Fraction(-qprev) * Fraction(c1) / Fraction(c2)
-                    )
-                if qprev:
-                    out[base + pos * mu - base_off] = qprev
+                qprev = -qprev * c1 * c2
+                out[base + pos * mu - base_off] = qprev
                 pos += 1
             val = c - c1 * qprev
-            if unit:
-                qprev = val * c2 if isinstance(val, int) else _coeff_clean(val * c2)
-            else:
-                qprev = _coeff_clean(Fraction(val) / Fraction(c2))
+            qprev = val * c2 if isinstance(val, int) else _coeff_clean(val * c2)
             if qprev:
                 out[base + j * mu - base_off] = qprev
             pos = j + 1
@@ -508,9 +460,11 @@ def divide_exact(p, q):
     """Exact quotient p/q in the Laurent ring, or None if q does not
     divide p.
 
-    Two-term divisors take a fast line-recurrence path. Otherwise: long
-    division by the lex-leading term after shifting both arguments to
-    genuine polynomials, sound because lex order is a monomial order there.
+    Two-term divisors with coefficients +-1, the only binomials the
+    vertex and wall-crossing code divides by, take a line-recurrence path.
+    Every other divisor takes long division by the lex-leading term after
+    shifting both arguments to genuine polynomials, sound because lex order
+    is a monomial order there.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -524,7 +478,7 @@ def divide_exact(p, q):
         return LaurentPoly(
             {k - off: _coeff_clean(Fraction(c) / Fraction(cq)) for k, c in p.d.items()}
         )
-    if len(q.d) == 2:
+    if len(q.d) == 2 and all(c == 1 or c == -1 for c in q.d.values()):
         return _divide_by_binomial(p, q)
     sp = _pack(p.monomial_content()) - PACK_ZERO
     sq = _pack(q.monomial_content()) - PACK_ZERO
@@ -815,13 +769,6 @@ class RatFunc:
             raise ZeroDivisionError("singular specialization")
         return RatFunc(num, den)
 
-    def subst_w(self, which, target_exps):
-        num = self.num.subst_w(which, target_exps)
-        den = self.den.subst_w(which, target_exps)
-        if den.is_zero():
-            raise ZeroDivisionError("singular specialization")
-        return RatFunc(num, den)
-
     # -- display ----------------------------------------------------------
 
     def __str__(self):
@@ -846,18 +793,14 @@ def _as_ratfunc(x):
     return NotImplemented
 
 
-def ratfunc_normalize(num, den):
-    """Canonical rational function num/den; errors on a zero denominator."""
-    return RatFunc(num, den)
-
-
 class QSeries:
     """Truncated power series in Q with exact coefficients.
 
-    Coefficients live in any exact ring with +, -, *, and zero/one tests;
-    RatFunc in practice, formal wall-crossing expressions elsewhere. The
-    coefficient list always spans min_power..trunc inclusive and arithmetic
-    never pretends to know anything beyond trunc.
+    Coefficients are RatFunc, or formal wall-crossing expressions
+    (wallcross.FormalExpr): exact rings with +, -, *, is_zero and, for the
+    leading coefficient of a divisor, inverse. The coefficient list always
+    spans min_power..trunc inclusive and arithmetic never pretends to know
+    anything beyond trunc.
     """
 
     __slots__ = ("min_power", "coeffs", "trunc")
@@ -911,9 +854,7 @@ class QSeries:
         zero = self.coeffs[0] * 0
         coeffs = [zero] * (hi - lo + 1)
         for i, a in enumerate(self.coeffs):
-            if isinstance(a, (int, Fraction)) and not a:
-                continue
-            if hasattr(a, "is_zero") and a.is_zero():
+            if a.is_zero():
                 continue
             na = self.min_power + i
             for j, b in enumerate(other.coeffs):
@@ -923,34 +864,28 @@ class QSeries:
                 coeffs[n - lo] = coeffs[n - lo] + a * b
         return QSeries(lo, coeffs, hi)
 
-    def _lead_inverse(self):
-        lead = self.coeffs[0]
-        if isinstance(lead, (int, Fraction)):
-            if not lead:
-                raise ZeroDivisionError("non-invertible series")
-            return Fraction(1) / Fraction(lead)
+    def __truediv__(self, other):
+        """Quotient by a series whose coefficient at min_power is
+        invertible, in one recursion: with a = self, b = other and both
+        indexed from their min_power, q_n = b_0^(-1) (a_n - sum_{k>=1}
+        b_k q_(n-k)). The quotient starts at a.min_power - b.min_power and
+        stops where a or b runs out of known coefficients."""
+        lead = other.coeffs[0]
         if lead.is_zero():
             raise ZeroDivisionError("non-invertible series")
-        return lead.inverse()
-
-    def inverse(self):
-        """Multiplicative inverse; needs a nonzero coefficient at
-        min_power."""
-        inv0 = self._lead_inverse()
-        m = self.min_power
-        n_out = self.trunc - 2 * m
-        lo = -m
-        out = [inv0]
-        for k in range(1, n_out - lo + 1):
-            acc = None
-            for j in range(1, k + 1):
-                term = self.coeffs[j] * out[k - j]
-                acc = term if acc is None else acc + term
-            out.append(-(inv0 * acc))
-        return QSeries(lo, out, n_out)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
+        inv0 = lead.inverse()
+        lo = self.min_power - other.min_power
+        hi = min(
+            self.trunc - other.min_power,
+            other.trunc + self.min_power - 2 * other.min_power,
+        )
+        b = other.coeffs
+        out = []
+        for n, acc in enumerate(self.coeffs[: hi - lo + 1]):
+            for k in range(1, n + 1):
+                acc = acc - b[k] * out[n - k]
+            out.append(inv0 * acc)
+        return QSeries(lo, out, hi)
 
     def subst_q_scale(self, unit):
         """Q -> unit * Q for an invertible coefficient unit: the coefficient
@@ -958,11 +893,7 @@ class QSeries:
         coeffs = []
         for i, c in enumerate(self.coeffs):
             n = self.min_power + i
-            if n >= 0:
-                coeffs.append(c * unit ** n)
-            else:
-                inv = unit.inverse() if hasattr(unit, "inverse") else Fraction(1) / unit
-                coeffs.append(c * inv ** (-n))
+            coeffs.append(c * (unit ** n if n >= 0 else unit.inverse() ** -n))
         return QSeries(self.min_power, coeffs, self.trunc)
 
     def eq_through(self, other, order):

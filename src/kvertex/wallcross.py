@@ -174,12 +174,6 @@ class FormalExpr:
     def __repr__(self):
         return "FormalExpr(%s)" % self
 
-    def to_json(self):
-        return [
-            {"symbols": [list(s) for s in k], "coeff": v.to_json()}
-            for k, v in sorted(self.terms.items())
-        ]
-
 
 def _as_kappa_rf(x):
     if isinstance(x, RatFunc):
@@ -313,11 +307,18 @@ def pt_from_dt_series(order, N):
 
 def mochizuki_check(order, N):
     """The iterated wall-crossing must agree with the series identity:
-    PT-side series = pair-symbol series times the inverse of the
-    hilb-symbol series."""
+    PT-side series = pair-symbol series divided by the hilb-symbol
+    series."""
     lhs = pt_from_dt_series(order, N)
-    rhs = pair_symbol_series(order) * hilb_symbol_series(order).inverse()
+    rhs = pair_symbol_series(order) / hilb_symbol_series(order)
     return lhs.eq_through(rhs, order)
+
+
+def _bind_hilb(wseries, hilb):
+    """The transfer series with each hilb[m] bound to the computed 0-leg
+    coefficient at Q^m."""
+    values = {(HILB, m): hilb.series.coefficient(m) for m in range(wseries.trunc + 1)}
+    return QSeries(0, [c.substitute(values) for c in wseries.coeffs], wseries.trunc)
 
 
 def rank2_bridge(order, N, hilb):
@@ -331,35 +332,17 @@ def rank2_bridge(order, N, hilb):
 
     if order > N - 1:
         raise ValueError("order exceeds frame capacity")
-    values = {}
-    for m in range(0, order + 1):
-        values[(HILB, m)] = hilb.series.coefficient(m)
-    wseries = wall_transfer_series(order, N, "B")
-    quot = quot2_vertex_series(order)
-    for n in range(order + 1):
-        lhs = wseries.coefficient(n).substitute(values)
-        if not lhs == quot.series.coefficient(n):
-            return False
-    return True
+    lhs = _bind_hilb(wall_transfer_series(order, N, "B"), hilb)
+    return lhs.eq_through(quot2_vertex_series(order).series, order)
 
 
 def dt_side_check(order, N, hilb, quot):
-    """Valuewise check of the DT-side relation: the 0-leg coefficients must
-    equal the convolution of the rank-2 coefficients with the evaluated
-    DT-side transfer series."""
+    """Valuewise check of the DT-side relation: the 0-leg series must equal
+    the rank-2 series times the evaluated DT-side transfer series."""
     if order > N - 1:
         raise ValueError("order exceeds frame capacity")
-    values = {}
-    for m in range(0, order + 1):
-        values[(HILB, m)] = hilb.series.coefficient(m)
-    wseries = wall_transfer_series(order, N, "ALL")
-    for n in range(order + 1):
-        acc = RatFunc.zero()
-        for m in range(0, n + 1):
-            acc = acc + quot.series.coefficient(n - m) * wseries.coefficient(m).substitute(values)
-        if not acc == hilb.series.coefficient(n):
-            return False
-    return True
+    rhs = quot.series * _bind_hilb(wall_transfer_series(order, N, "ALL"), hilb)
+    return hilb.series.eq_through(rhs, order)
 
 
 def shifted_product_series(order):

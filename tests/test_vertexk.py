@@ -106,6 +106,12 @@ def test_fixed_point_weight_examples():
     assert fixed_point_weight(LaurentPoly.zero()) == RatFunc.one()
     with pytest.raises(ArithmeticError, match="non-isolated"):
         fixed_point_weight(LaurentPoly.const(1))
+    # doubled exponents, some negative: all even gives the one factor of
+    # w^(1/2) = t1^(-1/2) t2 t3^(-3/2) w2^(1/2); an odd one is a half power
+    mixed = LaurentPoly.term(1, (-2, 4, -6, 0, 2))
+    assert fixed_point_weight(mixed) == RatFunc(ONE, half((-1, 2, -3, 0, 1)))
+    with pytest.raises(ArithmeticError, match="weight with a half exponent"):
+        fixed_point_weight(LaurentPoly.term(1, (-1, 4, -6, 0, 2)))
 
 
 def test_weight_inverse_property():
