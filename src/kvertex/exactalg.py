@@ -147,7 +147,7 @@ class LaurentPoly:
 
     def coefficient_sum(self):
         """Value at t1 = t2 = t3 = w1 = w2 = 1 (the rank of a character)."""
-        return _coeff_clean(sum(self.d.values(), start=Fraction(0)))
+        return _coeff_clean(sum(self.d.values()))
 
     def num_terms(self):
         return len(self.d)

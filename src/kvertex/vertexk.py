@@ -2,10 +2,15 @@
 box-counting vertex series.
 
 The character of a fixed-point configuration determines a Laurent-polynomial
-virtual tangent character V. Every V is certified on the spot: poles must
-cancel exactly, coefficients must be integers summing to zero, there must be
-no trivial weight, and V must be antisymmetric of weight kappa under the
-dual involution. The symmetrized contribution of a fixed point is then
+virtual tangent character V. For the minimal configuration of each leg
+triple (the union of the leg cylinders), V is the tangent block over
+D = (1-t1)(1-t2)(1-t3) divided exactly by D, and its poles must cancel.
+Every other configuration differs from the minimal one by the boxes E
+outside the cylinders, and its V is the minimal one plus a Laurent
+polynomial in E, with no division. Every V is certified on the spot:
+coefficients must be integers summing to zero, there must be no trivial
+weight, and V must be antisymmetric of weight kappa under the dual
+involution. The symmetrized contribution of a fixed point is then
 prod (w^(1/2) - w^(-1/2))^(-n_w) over the weights w of V.
 
 Series coefficients are sums of such contributions. fastsum accumulates
@@ -24,13 +29,15 @@ from functools import lru_cache
 from . import fastsum
 from .boxconfig import (
     _AXPAIR,
+    BoxConfig,
     enumerate_configs,
     enumerate_quot_pairs,
     leg_diagram_poly,
+    leg_reach,
     min_volume,
+    minimal_core,
 )
 from .exactalg import (
-    KAPPA,
     ONE,
     PACK_ZERO,
     LaurentPoly,
@@ -75,6 +82,10 @@ class VertexChar:
     poly: LaurentPoly
 
 
+_KAPPA_EXPS = (2, 2, 2, 0, 0)
+_KAPPA_INV_EXPS = (-2, -2, -2, 0, 0)
+
+
 def _vertex_invariant_errors(v):
     if not all(isinstance(c, int) for _, c in v.d.items()):
         return "non-integer multiplicity"
@@ -82,22 +93,35 @@ def _vertex_invariant_errors(v):
         return "non-isolated contribution"
     if v.coefficient_sum() != 0:
         return "nonzero virtual rank"
-    if v.bar() != LaurentPoly.const(-1) * KAPPA * v:
+    if v.bar() != -v.shift(_KAPPA_EXPS):
         return "symmetry violation"
     return None
 
 
+def _certified(v):
+    err = _vertex_invariant_errors(v)
+    if err:
+        raise ArithmeticError(err)
+    return VertexChar(v)
+
+
 _ONE_MINUS_T = tuple(ONE - LaurentPoly.var(i) for i in range(3))
 _ONE_MINUS_TINV = tuple(p.bar() for p in _ONE_MINUS_T)
+# D / kappa, with D = (1-t1)(1-t2)(1-t3)
+_D_OVER_KAPPA = (_ONE_MINUS_T[0] * _ONE_MINUS_T[1] * _ONE_MINUS_T[2]).shift(_KAPPA_INV_EXPS)
 
 
 def _cleared_character(config):
-    """Character as (a, axes) with character = a / prod_{i in axes}(1-t_i),
-    the fraction reduced; computed with plain polynomial arithmetic."""
+    """Character as (a, axes) with character = a / prod_{i in axes}(1-t_i)
+    over the leg axes; computed with plain polynomial arithmetic.
+
+    The fraction is already reduced: at t_i = 1 on a leg axis, a is the
+    leg's diagram polynomial times the other leg factors, which is not
+    zero."""
     core = LaurentPoly.from_terms(
         (1, (2 * x, 2 * y, 2 * z, 0, 0)) for (x, y, z) in config.core
     )
-    axes = [axis for axis in range(3) if config.legs[axis]]
+    axes = tuple(axis for axis in range(3) if config.legs[axis])
     a = core
     for axis in axes:
         a = a * _ONE_MINUS_T[axis]
@@ -109,12 +133,7 @@ def _cleared_character(config):
             if other != axis:
                 tail = tail * _ONE_MINUS_T[other]
         a = a + tail
-    for axis in list(axes):
-        q = divide_exact(a, _ONE_MINUS_T[axis])
-        if q is not None:
-            a = q
-            axes.remove(axis)
-    return a, tuple(axes)
+    return a, axes
 
 
 def _tangent_block_poly(to, frm):
@@ -146,10 +165,7 @@ def _certified_vertex(num):
         if q is None:
             raise ArithmeticError("pole not cleared")
         num = q
-    err = _vertex_invariant_errors(num)
-    if err:
-        raise ArithmeticError(err)
-    return VertexChar(num)
+    return _certified(num)
 
 
 @lru_cache(maxsize=None)
@@ -162,9 +178,10 @@ def _leg_block(leg, axis):
     return t
 
 
-def vertex_character(config):
-    """Virtual tangent character of a box configuration, with the leg
-    tangent contributions removed; certified Laurent."""
+def _vertex_from_scratch(config):
+    """vertex_character by the tangent block over D, three exact divisions
+    and the pole check: the base case on minimal configurations, and the
+    oracle of the tests."""
     cleared = _cleared_character(config)
     num = _tangent_block_poly(cleared, cleared)
     for axis in range(3):
@@ -172,6 +189,52 @@ def vertex_character(config):
         if leg:
             num = num - _leg_block(leg, axis)
     return _certified_vertex(num)
+
+
+@lru_cache(maxsize=None)
+def _minimal_vertex(legs):
+    """(V_min, a0 C / kappa, bar(a0) bar(C)) for a leg triple, where a0 is
+    the cleared numerator of the minimal configuration and C the product
+    of (1 - t_i) over the legless axes."""
+    bound = leg_reach(legs) + 2
+    config = BoxConfig(legs, bound, minimal_core(legs, bound))
+    a0c = _cleared_character(config)[0]
+    for axis in range(3):
+        if not legs[axis]:
+            a0c = a0c * _ONE_MINUS_T[axis]
+    return _vertex_from_scratch(config).poly, a0c.shift(_KAPPA_INV_EXPS), a0c.bar()
+
+
+_minimal_core = lru_cache(maxsize=None)(minimal_core)
+
+
+def vertex_character(config):
+    """Virtual tangent character of a box configuration, with the leg
+    tangent contributions removed; certified Laurent.
+
+    With E the sum of t^x over the core boxes x outside the leg cylinders,
+    the cleared character is a = a0 + P_S E, where P_S is the product of
+    (1 - t_i) over the leg axes S. Substituting into the tangent block
+    leaves no division:
+
+        V = V_min + E - bar(E)/kappa + (a0 C + D E) bar(E)/kappa
+            - E bar(a0) bar(C).
+    """
+    vmin, a0c_over_kappa, a0c_bar = _minimal_vertex(config.legs)
+    cylinders = _minimal_core(config.legs, config.bound)
+    extra = config.core - cylinders
+    if len(config.core) - len(extra) != len(cylinders):
+        raise ValueError("core misses a leg cylinder box below its bound")
+    e = LaurentPoly.from_terms((1, (2 * x, 2 * y, 2 * z, 0, 0)) for (x, y, z) in extra)
+    ebar = e.bar()
+    v = (
+        vmin
+        + e
+        - ebar.shift(_KAPPA_INV_EXPS)
+        + (a0c_over_kappa + _D_OVER_KAPPA * e) * ebar
+        - e * a0c_bar
+    )
+    return _certified(v)
 
 
 # -- symmetrized weights -------------------------------------------------

@@ -152,7 +152,8 @@ def test_criterion_08_vertex_invariants():
     report(
         8,
         violations == 0,
-        "pole clearing + symmetry + rank + isolation over %d leg/volume slices, %.0fs"
+        "symmetry + rank + isolation + integrality over %d leg/volume slices "
+        "(poles cleared once per leg triple), %.0fs"
         % (len(jobs_args), time.time() - t0),
     )
 

@@ -65,6 +65,18 @@ def test_bar_examples():
     assert p.bar() == LaurentPoly.term(-1, (-2, -2, -2, 0, 0)) * p
 
 
+def test_coefficient_sum_types():
+    assert type(LaurentPoly.zero().coefficient_sum()) is int
+    assert LaurentPoly.zero().coefficient_sum() == 0
+    p = (ONE - T1) * (ONE + T2 + T2 * T3)
+    assert type(p.coefficient_sum()) is int and p.coefficient_sum() == 0
+    assert type((p + T3 * 4).coefficient_sum()) is int
+    half = LaurentPoly.const(Fraction(1, 2))
+    assert (half + half * T1).coefficient_sum() == 1
+    assert type((half + half * T1).coefficient_sum()) is int
+    assert (half + T1).coefficient_sum() == Fraction(3, 2)
+
+
 def test_divide_exact_roundtrip():
     rng = random.Random(3)
     for _ in range(120):

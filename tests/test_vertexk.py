@@ -1,11 +1,12 @@
 """Vertex characters, weights, and series, checked against independent
 oracles where the contracts give one."""
 
+import itertools
 import json
 
 import pytest
 
-from kvertex.boxconfig import enumerate_configs, min_volume, plane_partitions
+from kvertex.boxconfig import BoxConfig, enumerate_configs, min_volume, plane_partitions
 from kvertex.exactalg import KAPPA, ONE, LaurentPoly, RatFunc
 from kvertex.vertexk import (
     cy_constancy_check,
@@ -93,6 +94,58 @@ def test_vertex_invariants_small_budget():
                 assert v.coefficient_sum() == 0
                 assert v.coeff((0, 0, 0, 0, 0)) == 0
                 assert v.has_integer_coeffs()
+
+
+LEG_CHOICES = ((), (1,), (2,), (1, 1))
+
+
+def _legged_chars_slices():
+    """Every legged triple over LEG_CHOICES from its minimal volume through
+    three more, and the 0-leg triple through volume 6."""
+    out = [(((), (), ()), n) for n in range(7)]
+    for legs in itertools.product(LEG_CHOICES, repeat=3):
+        if any(legs):
+            lo = min_volume(*legs)
+            out.extend((legs, n) for n in range(lo, lo + 4))
+    return out
+
+
+def test_leg_axes_are_real_poles():
+    # the cleared numerator is never divisible by 1 - t_i on a leg axis,
+    # so the leg axes are the reduced denominator as they stand
+    import kvertex.vertexk as vk
+    from kvertex.exactalg import divide_exact
+
+    for legs in itertools.product(LEG_CHOICES, repeat=3):
+        if not any(legs):
+            continue
+        lo = min_volume(*legs)
+        for n in (lo, lo + 1):
+            for c in enumerate_configs(*legs, n=n):
+                a, axes = vk._cleared_character(c)
+                assert axes == tuple(i for i in range(3) if legs[i])
+                for axis in axes:
+                    assert divide_exact(a, ONE - LaurentPoly.var(axis)) is None
+
+
+def test_character_from_minimal_matches_scratch():
+    import kvertex.vertexk as vk
+
+    for legs, n in _legged_chars_slices():
+        for c in enumerate_configs(*legs, n=n):
+            assert vertex_character(c) == vk._vertex_from_scratch(c), (legs, n, c.sorted_core())
+
+
+def test_character_independent_of_bound():
+    for legs in (((), (), ()), ((1,), (), ()), ((2,), (1, 1), ()), ((1,), (1,), (1,))):
+        for c in enumerate_configs(*legs, n=min_volume(*legs) + 2):
+            assert vertex_character(c.widen(2)) == vertex_character(c)
+
+
+def test_character_rejects_unstabilized_core():
+    bad = BoxConfig(((1,), (), ()), 4, frozenset({(0, 0, 0), (1, 0, 0)}))
+    with pytest.raises(ValueError, match="leg cylinder"):
+        vertex_character(bad)
 
 
 def test_fixed_point_weight_examples():
