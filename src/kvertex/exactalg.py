@@ -339,11 +339,13 @@ class LaurentPoly:
     # -- substitutions -------------------------------------------------
 
     def subst_t3_cy(self):
-        """t3 -> (t1 t2)^(-1), the Calabi-Yau specialization, monomial-wise."""
+        """t3 -> (t1 t2)^(-1), the Calabi-Yau specialization, monomial-wise:
+        a key with t3 lane value c moves by -c in the t1, t2 and t3 lanes."""
+        s2 = _SHIFTS[2]
+        unit = (1 << _SHIFTS[0]) + (1 << _SHIFTS[1]) + (1 << s2)
         d = {}
         for k, coeff in self.d.items():
-            a, b, c, d4, d5 = _unpack(k)
-            e = _pack((a - c, b - c, 0, d4, d5))
+            e = k - (((k >> s2) & _MASK) - _OFF) * unit
             s = d.get(e, 0) + coeff
             if s:
                 d[e] = _coeff_clean(s)
@@ -521,17 +523,24 @@ def divide_exact(p, q):
     return LaurentPoly(out)
 
 
-def _fold_factor(num, fac, poly, mult):
-    """num / poly^mult with the denominator kept factored: the rational
-    content and monomial of poly go into the numerator, which is returned,
-    and its primitive part into the factor dict fac."""
-    g, shiftexp, prim = poly.primitive_split()
-    if g != 1:
-        num = num * (1 / Fraction(g)) ** mult
-    num = num.shift(tuple(-mult * x for x in shiftexp))
-    if not prim.is_constant():
-        fac[prim] = fac.get(prim, 0) + mult
-    return num
+def _fold_factors(num, fac, factors):
+    """num / prod poly^mult over the pairs (poly, mult) of factors, with the
+    denominator kept factored: the primitive part of each poly goes into
+    the factor dict fac, and the rational contents and monomials of all of
+    them into one unit that multiplies the numerator, which is returned."""
+    scalar = 1
+    shift = ZERO_EXPS
+    for poly, mult in factors:
+        g, shiftexp, prim = poly.primitive_split()
+        if g != 1:
+            scalar /= Fraction(g) ** mult
+        if shiftexp != ZERO_EXPS:
+            shift = tuple(s - mult * x for s, x in zip(shift, shiftexp))
+        if not prim.is_constant():
+            fac[prim] = fac.get(prim, 0) + mult
+    if scalar != 1:
+        num = -num if scalar == -1 else num * scalar
+    return num.shift(shift)
 
 
 def _catch_up(num, want, have):
@@ -565,7 +574,7 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("division by zero")
         self.fac = {}
-        self.num = _fold_factor(num, self.fac, den, 1)
+        self.num = _fold_factors(num, self.fac, [(den, 1)])
         self._reduce()
 
     @staticmethod
@@ -701,7 +710,7 @@ class RatFunc:
         if self.num.is_zero():
             raise ZeroDivisionError("division by zero")
         fac = {}
-        num = _fold_factor(_catch_up(ONE, self.fac, {}), fac, self.num, 1)
+        num = _fold_factors(_catch_up(ONE, self.fac, {}), fac, [(self.num, 1)])
         return RatFunc._raw(num, fac)
 
     def __truediv__(self, other):
@@ -710,12 +719,9 @@ class RatFunc:
             return other
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return _as_ratfunc(other) * self.inverse()
-
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("RatFunc power wants a nonnegative integer")
         out = RatFunc.one()
         for _ in range(n):
             out = out * self
@@ -737,10 +743,9 @@ class RatFunc:
         return NotImplemented if eq is NotImplemented else not eq
 
     def bar(self):
-        num = self.num.bar()
         fac = {}
-        for f, mult in self.fac.items():
-            num = _fold_factor(num, fac, f.bar(), mult)
+        num = _fold_factors(self.num.bar(), fac,
+                            [(f.bar(), mult) for f, mult in self.fac.items()])
         return RatFunc._raw(num, fac)
 
     # -- substitutions --------------------------------------------------
@@ -888,12 +893,9 @@ class QSeries:
         return QSeries(lo, out, hi)
 
     def subst_q_scale(self, unit):
-        """Q -> unit * Q for an invertible coefficient unit: the coefficient
-        at power n picks up unit^n."""
-        coeffs = []
-        for i, c in enumerate(self.coeffs):
-            n = self.min_power + i
-            coeffs.append(c * (unit ** n if n >= 0 else unit.inverse() ** -n))
+        """Q -> unit * Q: the coefficient at power n picks up unit^n. The
+        series must start at Q^0 or later."""
+        coeffs = [c * unit ** (self.min_power + i) for i, c in enumerate(self.coeffs)]
         return QSeries(self.min_power, coeffs, self.trunc)
 
     def eq_through(self, other, order):

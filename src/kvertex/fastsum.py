@@ -30,21 +30,38 @@ Exactness of the int64 layouts is kept by range checks: every coefficient
 stays below _COEFF_LIMIT; sparse lanes are checked against the true lane
 range before every shift (bounds carried per array, recomputed from the
 keys when they cross it) and on every dense-to-sparse conversion; a weight
-binomial enters only if its exponents lie within _EXP_LIMIT.
+binomial enters only if its exponents lie within _EXP_LIMIT. Sparse
+coefficients are checked after every combine. A dense numerator carries an
+upper bound on max |coeff|: exact when it is computed (on conversion from
+sparse, and at every gated check), otherwise propagated, times 2 per
+binomial, a + b per add and runs * bound per quotient (runs: the number of
+cells of a line), and kept by trimming and negation. A dense step scans its
+box for the max only when the propagated bound could reach _COEFF_LIMIT,
+and raises FastSumUnavailable only when the exact max does; the prefix-sum
+guard of a division likewise recomputes the bound before it raises, so a
+loose bound never sends a merge to dicts. Each step's operands stay below
+_COEFF_LIMIT, so no int64 value wraps.
 
 Division by a weight binomial t^m - t^(-m) is exact or fails (None). The
 sparse layout works line by line along the exponent direction 2m: after a
 per-line zero-sum precheck, the quotient is a segmented negated prefix sum
-over the dense range of line positions. The dense layout first checks the
-sums over classes of lines, then sweeps the recursion
-q(x) = q(x - 2m) - (t^m f)(x) along the leading lane of m, one slab
-operation per step; it fails when the sweep leaves anything outside the
-quotient box.
+over the dense range of line positions. The dense layout first sums every
+line along m into an accumulator the size of a few slabs; the division is
+exact exactly when all these sums vanish (none can wrap once the
+division's prefix-sum guard holds), so a failing division is rejected
+without a box-sized write. The quotient of an exact one is swept: the
+recursion q(x) = q(x - 2m) - (t^m f)(x) runs along the leading lane of m,
+one slab operation per step.
+
+A dense merge allocates the union box once and grows the operand with
+catch-up binomials inside it, one in-place subtraction per binomial; the
+other operand, if it has catch-ups too, is grown in one box of its own.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -63,7 +80,8 @@ _LANE_MAX = _OFF - 1
 # Every stored coefficient stays below 2^61. The only summations are
 # combines of two arrays with unique keys or two boxes (bounded by
 # 2 * 2^61 < 2^63) and the running sums inside division, which carry their
-# own dynamic max * run-length bound; int64 arithmetic therefore never wraps.
+# own dynamic max * run-length bound; int64 arithmetic therefore never wraps,
+# except in the dense line sums, which are trusted only under that bound.
 _COEFF_LIMIT = 1 << 61
 _SUM_LIMIT = 1 << 62
 # A merge goes dense when its predicted box has at most this many cells per
@@ -272,13 +290,15 @@ def _divide_binomial(arr, m):
 
 class _Dense:
     """Coefficient of the monomial with lane values origin + 2 * index at
-    arr[index]. The box is tight: every face holds a nonzero coefficient."""
+    arr[index]. The box is tight: every face holds a nonzero coefficient.
+    bound is at least max |coeff| and below _COEFF_LIMIT."""
 
-    __slots__ = ("origin", "arr")
+    __slots__ = ("origin", "arr", "bound")
 
-    def __init__(self, origin, arr):
+    def __init__(self, origin, arr, bound):
         self.origin = origin
         self.arr = arr
+        self.bound = bound
 
     def is_zero(self):
         return False
@@ -291,7 +311,23 @@ def _box(start, shape):
     return tuple(slice(s, s + n) for s, n in zip(start, shape))
 
 
-def _trim(origin, arr):
+def _max_abs(arr):
+    return max(int(arr.max()), -int(arr.min()))
+
+
+def _gated(arr, bound):
+    """A bound on max |coeff| of arr, given a propagated one: when that
+    could reach _COEFF_LIMIT, the exact max, and FastSumUnavailable if the
+    exact max reaches it too."""
+    if bound < _COEFF_LIMIT:
+        return bound
+    bound = _max_abs(arr)
+    if bound >= _COEFF_LIMIT:
+        raise FastSumUnavailable("coefficient out of range")
+    return bound
+
+
+def _trim(origin, arr, bound):
     """Dense numerator over the support of arr, or _EMPTY."""
     cut = []
     for ax in range(5):
@@ -305,89 +341,158 @@ def _trim(origin, arr):
             hi -= 1
         cut.append(slice(lo, hi))
         arr = np.moveaxis(view[lo:hi], 0, ax)
-    return _Dense(tuple(o + 2 * c.start for o, c in zip(origin, cut)), arr)
+    return _Dense(tuple(o + 2 * c.start for o, c in zip(origin, cut)), arr, bound)
 
 
-def _dense_mul(dn, m):
-    """dn * (t^m - t^(-m)): two shifted slab writes into a box grown by |m|."""
-    mv = _lane_vec(m)
-    arr = dn.arr
-    out = np.zeros(tuple(n + abs(x) for n, x in zip(arr.shape, mv)), dtype=np.int64)
-    out[_box([max(x, 0) for x in mv], arr.shape)] += arr
-    out[_box([max(-x, 0) for x in mv], arr.shape)] -= arr
-    _check_coeffs(out)
-    return _Dense(tuple(o - abs(x) for o, x in zip(dn.origin, mv)), out)
+def _growth(grow):
+    """Cells per lane by which the binomials (m, e) of grow widen a box."""
+    g = [0] * 5
+    for m, e in grow:
+        g = [x + e * abs(y) for x, y in zip(g, _lane_vec(m))]
+    return g
 
 
-def _dense_add(a, b):
-    """a + b in the union of their boxes (same per-lane parity), trimmed."""
-    lo = tuple(map(min, a.origin, b.origin))
-    hi = tuple(map(max, a.top(), b.top()))
-    out = np.zeros(tuple((h - x) // 2 + 1 for x, h in zip(lo, hi)), dtype=np.int64)
-    for x in (a, b):
-        out[_box([(o - s) // 2 for o, s in zip(x.origin, lo)], x.arr.shape)] += x.arr
-    _check_coeffs(out)
-    return _trim(lo, out)
+def _grow_into(out, dn, grow):
+    """Write dn times the binomials (m, e) of grow into out, a zeroed box of
+    the product's shape, and return the product's coefficient bound.
+
+    Each binomial is applied in place. With f in the region R of out,
+    f * (t^m - t^(-m)) is out[y] - out[y + m] over R and R - m (m in
+    cells), so it takes one subtraction of out[R] from out[R - m]; numpy
+    buffers the overlap. dn starts where the last binomial ends at the
+    corner of out."""
+    start = [0] * 5
+    for m, e in grow:
+        start = [x + e * max(y, 0) for x, y in zip(start, _lane_vec(m))]
+    shape = dn.arr.shape
+    out[_box(start, shape)] = dn.arr
+    bound = dn.bound
+    for m, e in grow:
+        mv = _lane_vec(m)
+        for _ in range(e):
+            src = out[_box(start, shape)]
+            start = [x - y for x, y in zip(start, mv)]
+            dst = out[_box(start, shape)]
+            np.subtract(dst, src, out=dst)
+            start = [min(x, x + y) for x, y in zip(start, mv)]
+            shape = tuple(n + abs(y) for n, y in zip(shape, mv))
+            bound = _gated(out[_box(start, shape)], 2 * bound)
+    return bound
+
+
+def _dense_sum(a, grow_a, b, grow_b):
+    """a * grow_a + b * grow_b, trimmed, for dense a and b whose grown boxes
+    share per-lane parity. a is grown inside the union box; b is added in
+    directly, or grown in a box of its own first when it has catch-ups."""
+    if not grow_a:
+        a, grow_a, b, grow_b = b, grow_b, a, grow_a
+    boxes = []
+    for x, grow in ((a, grow_a), (b, grow_b)):
+        g = _growth(grow)
+        boxes.append(([o - y for o, y in zip(x.origin, g)],
+                      tuple(n + y for n, y in zip(x.arr.shape, g))))
+    (lo_a, shape_a), (lo_b, shape_b) = boxes
+    lo = tuple(map(min, lo_a, lo_b))
+    hi = [max(x + 2 * n, y + 2 * k) for x, n, y, k in zip(lo_a, shape_a, lo_b, shape_b)]
+    out = np.zeros(tuple((h - x) // 2 for x, h in zip(lo, hi)), dtype=np.int64)
+    bound_a = _grow_into(out[_box([(x - y) // 2 for x, y in zip(lo_a, lo)], shape_a)], a, grow_a)
+    if grow_b:
+        arr_b = np.zeros(shape_b, dtype=np.int64)
+        bound_b = _grow_into(arr_b, b, grow_b)
+    else:
+        arr_b, bound_b = b.arr, b.bound
+    view = out[_box([(x - y) // 2 for x, y in zip(lo_b, lo)], shape_b)]
+    np.add(view, arr_b, out=view)
+    return _trim(lo, out, _gated(out, bound_a + bound_b))
+
+
+def _line_sums_vanish(f, mv):
+    """Whether f sums to zero along every line i + k m (m in cells) through
+    its box, which holds exactly when f is divisible by t^m - t^(-m).
+
+    Each line is summed into the accumulator cell of its point in the first
+    |m_A| slabs along a lane A where m moves; A is chosen for the smallest
+    accumulator, which is smaller than the box unless every line is only a
+    few cells long. Halfway along A, the lines that have already left the
+    box through another lane are checked, so most failing divisions stop
+    early. The sums may wrap, which keeps a zero sum zero."""
+    shape = f.shape
+    choices = []
+    for ax, x in enumerate(mv):
+        if x:
+            runs = -(-shape[ax] // abs(x))
+            acc = tuple(abs(x) if l == ax else n + (runs - 1) * abs(y)
+                        for l, (n, y) in enumerate(zip(shape, mv)))
+            choices.append((prod(acc), ax, runs, acc))
+    _, ax, runs, acc_shape = min(choices)
+    if mv[ax] < 0:
+        mv = tuple(-y for y in mv)
+    step = mv[ax]
+    acc = np.zeros(acc_shape, dtype=np.int64)
+    moving = [l for l, y in enumerate(mv) if y and l != ax]
+    off = [(runs - 1) * max(y, 0) for y in mv]
+    dst = [slice(o, o + n) for o, n in zip(off, shape)]
+    src = [slice(None)] * 5
+    for j in range(runs):
+        s = j * step
+        for l in moving:
+            o = off[l] - j * mv[l]
+            dst[l] = slice(o, o + shape[l])
+        dst[ax] = slice(0, min(step, shape[ax] - s))
+        src[ax] = slice(s, s + step)
+        d = acc[tuple(dst)]
+        np.add(d, f[tuple(src)], out=d)
+        if j == runs // 2:
+            for l in moving:
+                # lines whose point in slab j + 1 lies past lane l's edge
+                edge = off[l] - (j + 1) * mv[l]
+                done = [slice(None)] * 5
+                done[l] = slice(edge + shape[l], None) if mv[l] > 0 else slice(0, edge)
+                if acc[tuple(done)].any():
+                    return False
+    return not acc.any()
 
 
 def _dense_divide(dn, m):
     """Exact quotient dn / (t^m - t^(-m)), or None.
 
-    With a = max(m, 0) and b = max(-m, 0) per lane in cells, the product
-    q * (t^m - t^(-m)) has f[i] = q[i - a] - q[i - b], so r[i] = q[i - b]
-    obeys r[i] = r[i - m] - f[i] over the box of f. The sweep runs along the
-    leading lane L of m, |m_L| slabs per step; q exists exactly when r
-    vanishes outside the quotient box, which is the box of f shrunk by |m|.
+    A nonzero line sum along m rejects the division with no box-sized
+    write. A line holds at most runs cells, so once the prefix-sum guard
+    holds no line sum has wrapped, and zero sums mean the division is
+    exact. The sweep then computes the quotient: with a = max(m, 0) and
+    b = max(-m, 0) per lane in cells, the product q * (t^m - t^(-m)) has
+    f[i] = q[i - a] - q[i - b], so r[i] = q[i - b] obeys
+    r[i] = r[i - m] - f[i] over the box of f, and q is r over the box of f
+    shrunk by |m|. The sweep runs along the leading lane L of m, |m_L|
+    slabs per step (for m_L < 0 it divides by t^(-m) - t^m and negates).
     """
     mv = _lane_vec(m)
-    lead = _lead(mv)
-    if mv[lead] < 0:
-        q = _dense_divide(dn, 2 * _ZERO - m)
-        if q is not None:
-            q.arr = -q.arr
-        return q
     f = dn.arr
     shape = f.shape
-    if any(abs(x) >= n for x, n in zip(mv, shape)):
+    if any(abs(x) >= n for x, n in zip(mv, shape)) or not _line_sums_vanish(f, mv):
         return None
-    # Every line i + k m keeps i_L mod m_L and the lanes where m is 0, so
-    # the coefficients in each such class sum to zero when the division is
-    # exact. The sums may wrap, which keeps a zero sum zero.
+    lead = _lead(mv)
+    negate = mv[lead] < 0
+    if negate:
+        mv = tuple(-x for x in mv)
     step = mv[lead]
-    moving = tuple(ax for ax in range(5) if mv[ax] and ax != lead)
-    cls = f.sum(axis=moving, keepdims=True) if moving else f
-    cls = np.moveaxis(cls, lead, 0)
-    if step > 1:
-        pad = -shape[lead] % step
-        if pad:
-            cls = np.concatenate((cls, np.zeros((pad,) + cls.shape[1:], dtype=np.int64)))
-        cls = cls.reshape((-1, step) + cls.shape[1:])
-    if cls.sum(axis=0).any():
-        return None
     runs = -(-shape[lead] // step)
-    max_abs = max(int(f.max()), -int(f.min()))
-    if max_abs and runs > _SUM_LIMIT // max_abs:
-        raise FastSumUnavailable("prefix sums could overflow")
-    r = -f
+    if runs > _SUM_LIMIT // dn.bound:
+        dn.bound = _max_abs(f)
+        if runs > _SUM_LIMIT // dn.bound:
+            raise FastSumUnavailable("prefix sums could overflow")
+    r = f.copy() if negate else -f
     tgt = [slice(max(x, 0), n + min(x, 0)) for x, n in zip(mv, shape)]
     src = [slice(max(-x, 0), n - max(x, 0)) for x, n in zip(mv, shape)]
     for s in range(step, shape[lead], step):
         w = min(step, shape[lead] - s)
         tgt[lead] = slice(s, s + w)
         src[lead] = slice(s - step, s - step + w)
-        r[tuple(tgt)] += r[tuple(src)]
-    inner = []
-    for ax, (x, n) in enumerate(zip(mv, shape)):
-        b = max(-x, 0)
-        inner.append(slice(b, b + n - abs(x)))
-        if x:
-            sl = [slice(None)] * 5
-            sl[ax] = slice(n - x, n) if x > 0 else slice(0, b)
-            if r[tuple(sl)].any():
-                return None
-    q = r[tuple(inner)]
-    _check_coeffs(q)
-    return _Dense(tuple(o + abs(x) for o, x in zip(dn.origin, mv)), q)
+        d = r[tuple(tgt)]
+        np.add(d, r[tuple(src)], out=d)
+    q = r[tuple(slice(max(-x, 0), max(-x, 0) + n - abs(x)) for x, n in zip(mv, shape))]
+    return _Dense(tuple(o + abs(x) for o, x in zip(dn.origin, mv)), q,
+                  _gated(q, runs * dn.bound))
 
 
 # -- layout choice and conversions ----------------------------------------------
@@ -415,9 +520,7 @@ def _goes_dense(a, grow_a, b, grow_b):
             lo, hi, n = arr.origin, arr.top(), int(np.count_nonzero(arr.arr))
         else:
             lo, hi, n = arr.lo, arr.hi, arr.keys.size
-        g = [0] * 5
-        for m, e in grow:
-            g = [x + e * abs(y) for x, y in zip(g, _lane_vec(m))]
+        g = _growth(grow)
         boxes.append(([x - y for x, y in zip(lo, g)], [x + y for x, y in zip(hi, g)]))
         terms += n
     (lo_a, hi_a), (lo_b, hi_b) = boxes
@@ -441,7 +544,7 @@ def _to_dense(arr):
     idx = (lanes - lo[:, None]) >> 1
     out = np.zeros(tuple(idx.max(axis=1) + 1), dtype=np.int64)
     out[tuple(idx)] = arr.coeffs
-    return _Dense(tuple(lo.tolist()), out)
+    return _Dense(tuple(lo.tolist()), out, _max_abs(arr.coeffs))
 
 
 def _to_sparse(arr):
@@ -543,10 +646,9 @@ def _int64_add(arr_a, grow_a, arr_b, grow_b):
     grow_a = [(_small_from_big(m), e) for m, e in grow_a]
     grow_b = [(_small_from_big(m), e) for m, e in grow_b]
     if _goes_dense(arr_a, grow_a, arr_b, grow_b):
-        layout, mul, add = _to_dense, _dense_mul, _dense_add
-    else:
-        layout, mul, add = _to_sparse, _mul_binomial, _add
-    return add(_grow(layout(arr_a), grow_a, mul), _grow(layout(arr_b), grow_b, mul))
+        return _dense_sum(_to_dense(arr_a), grow_a, _to_dense(arr_b), grow_b)
+    return _add(_grow(_to_sparse(arr_a), grow_a, _mul_binomial),
+                _grow(_to_sparse(arr_b), grow_b, _mul_binomial))
 
 
 def _pair_add(a, b, full=False):

@@ -44,7 +44,7 @@ from .exactalg import (
     QSeries,
     RatFunc,
     _PARITY,
-    _fold_factor,
+    _fold_factors,
     _kneg,
     divide_exact,
 )
@@ -294,11 +294,10 @@ def fixed_point_weight(vchar):
 
 
 def _pair_to_ratfunc(pair):
-    """Reduced factored pair as a normalized RatFunc, factor by factor."""
+    """Reduced factored pair as a normalized RatFunc."""
     num, den = pair
     fac = {}
-    for m, e in sorted(den.items()):
-        num = _fold_factor(num, fac, _half_binomial(m), e)
+    num = _fold_factors(num, fac, [(_half_binomial(m), e) for m, e in sorted(den.items())])
     return RatFunc._prereduced(num, fac)
 
 

@@ -397,6 +397,153 @@ def test_division_beyond_lanes_is_redone_on_dicts():
     assert q == fastsum._to_poly(_numerator((a, 1), (b, 1)))
 
 
+def _sparse(*terms):
+    """Sparse fastsum numerator from (coefficient, lane exponents) terms."""
+    import numpy as np
+
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+
+    terms = sorted((fastsum._small_from_big(_pack(e)), c) for c, e in terms)
+    lanes = list(zip(*[fastsum._lane_vec(k) for k, _ in terms]))
+    return fastsum._Sparse(np.array([k for k, _ in terms], dtype=np.int64),
+                           np.array([c for _, c in terms], dtype=np.int64),
+                           tuple(map(min, lanes)), tuple(map(max, lanes)))
+
+
+def _quotient_case(c):
+    """(f, m, q) with f = q * (t^m - t^(-m)), q = c (1 + 2 t^(2m) + t^(4m)):
+    the quotient's largest coefficient is twice the dividend's."""
+    f = _sparse((-c, (-1, 0, 0, 0, 0)), (-c, (1, 0, 0, 0, 0)),
+                (c, (3, 0, 0, 0, 0)), (c, (5, 0, 0, 0, 0)))
+    q = LaurentPoly.from_terms([(c, (0, 0, 0, 0, 0)), (2 * c, (2, 0, 0, 0, 0)),
+                                (c, (4, 0, 0, 0, 0))])
+    return f, (1, 0, 0, 0, 0), q
+
+
+def test_coefficient_limit_guard_redoes_steps_on_dicts():
+    # Dense steps whose coefficients reach 2^61 raise FastSumUnavailable,
+    # and the merge tree redoes that step on dicts with the same result;
+    # a step just below the limit stays dense, whatever its carried bound.
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+
+    limit = fastsum._COEFF_LIMIT
+    m = (1, 0, 0, 0, 0)
+    key = _pack(m)
+    for c in (limit // 2, limit // 2 - 1):
+        reaches = 2 * c >= limit
+        # mul: c (1 - t^(2m)) (t^m - t^(-m)) has 2c at t^m
+        a = _sparse((c, (0, 0, 0, 0, 0)), (-c, (2, 0, 0, 0, 0)))
+        b = _sparse((1, (1, 0, 0, 0, 0)),)
+        want = fastsum._poly_mul(fastsum._to_poly(a), key) + fastsum._to_poly(b)
+        for x, grow_x, y, grow_y in ((a, [(key, 1)], b, []), (b, [], a, [(key, 1)])):
+            assert fastsum._goes_dense(x, [(fastsum._small_from_big(k), e) for k, e in grow_x],
+                                       y, [(fastsum._small_from_big(k), e) for k, e in grow_y])
+            if reaches:
+                with pytest.raises(fastsum.FastSumUnavailable):
+                    fastsum._int64_add(x, grow_x, y, grow_y)
+            else:
+                assert fastsum._to_poly(fastsum._int64_add(x, grow_x, y, grow_y)) == want
+        num, den = fastsum._pair_add((a, {}), (b, {key: 1}))
+        assert isinstance(num, LaurentPoly) == reaches
+        assert fastsum._to_poly(num) == want and den == {key: 1}
+        # add: two terms of c at the same monomial
+        a = _sparse((c, (1, 0, 0, 0, 0)), (1, (3, 0, 0, 0, 0)))
+        b = _sparse((c, (1, 0, 0, 0, 0)), (1, (5, 0, 0, 0, 0)))
+        want = fastsum._to_poly(a) + fastsum._to_poly(b)
+        num, den = fastsum._pair_add((a, {}), (b, {}))
+        assert isinstance(num, LaurentPoly) == reaches
+        assert fastsum._to_poly(num) == want and den == {}
+        # quotient: 2c in the quotient, c in the dividend
+        f, m, q = _quotient_case(c)
+        dense = fastsum._to_dense(f)
+        if reaches:
+            with pytest.raises(fastsum.FastSumUnavailable):
+                fastsum._dense_divide(dense, fastsum._small_from_big(_pack(m)))
+        num, den = fastsum._pair_reduce(dense, {_pack(m): 1})
+        assert isinstance(num, LaurentPoly) == reaches
+        assert fastsum._to_poly(num) == q and den == {}
+
+
+def test_dense_bound_covers_coefficients():
+    # Every dense numerator carries a bound at least its max |coefficient|,
+    # and dense merges and quotients of random products agree with dicts.
+    import random
+
+    import numpy as np
+
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+
+    def bounded(dn):
+        assert int(np.abs(dn.arr).max()) <= dn.bound < fastsum._COEFF_LIMIT
+        return dn
+
+    def product(scale, factors):
+        fw = _numerator(*[(m, factors.count(m)) for m in set(factors)])
+        return fastsum._Sparse(fw.keys, scale * fw.coeffs, fw.lo, fw.hi)
+
+    def grow(factors, key=lambda m: fastsum._small_from_big(_pack(m))):
+        return [(key(m), factors.count(m)) for m in set(factors)]
+
+    f, m, q = _quotient_case(3)
+    assert fastsum._to_poly(bounded(fastsum._dense_divide(
+        bounded(fastsum._to_dense(f)), fastsum._small_from_big(_pack(m))))) == q
+    rng = random.Random(5)
+    dirs = [m + (0, 0) for m in itertools.product(range(-2, 3), repeat=3) if m > (0, 0, 0)]
+    for _ in range(40):
+        common = rng.sample(dirs, rng.randint(2, 5))
+        # the same lane parities as common, so a * grow_a and b * grow_b share them
+        other = [tuple(x + 2 * rng.randint(-1, 1) * (i == j) for i, x in enumerate(m))
+                 for m, j in zip(common, (rng.randrange(3) for _ in common))]
+        other = [m if any(m) else m0 for m, m0 in zip(other, common)]
+        xs = rng.sample(dirs, rng.randint(0, 3))
+        ys = rng.sample(dirs, rng.randint(0, 3))
+        a = product(rng.choice((-1, 1)) * rng.randint(1, 999), common + xs)
+        b = product(rng.choice((-1, 1)) * rng.randint(1, 999), other + ys)
+        for x, gx, y, gy in ((a, ys, b, xs), (a, [], a, [])):
+            want = (fastsum._grow(fastsum._to_poly(x), grow(gx, _pack), fastsum._poly_mul)
+                    + fastsum._grow(fastsum._to_poly(y), grow(gy, _pack), fastsum._poly_mul))
+            total = fastsum._dense_sum(bounded(fastsum._to_dense(x)), grow(gx),
+                                       bounded(fastsum._to_dense(y)), grow(gy))
+            if total.is_zero():
+                assert want.is_zero()
+                continue
+            assert fastsum._to_poly(bounded(total)) == want
+            for m in set(common + xs + ys):
+                key = fastsum._small_from_big(_pack(m))
+                q = fastsum._dense_divide(total, key)
+                exact = fastsum._divide(want, _pack(m))
+                assert (q is None) == (exact is None)
+                if all(abs(x) < n for x, n in zip(fastsum._lane_vec(key), total.arr.shape)):
+                    assert fastsum._line_sums_vanish(total.arr, fastsum._lane_vec(key)) == (q is not None)
+                if q is not None:
+                    assert fastsum._to_poly(bounded(q)) == exact
+
+
+def test_zero_leg_sums_stay_int64(monkeypatch):
+    # A carried bound too loose for an overflow guard is recomputed before
+    # the guard raises, so no 0-leg merge or division through Q^5 reaches
+    # the dict layout.
+    import kvertex.vertexk as vk
+    from kvertex import fastsum
+
+    layouts = set()
+    pair_reduce = fastsum._pair_reduce
+
+    def spy(arr, *args):
+        out = pair_reduce(arr, *args)
+        layouts.update((type(arr).__name__, type(out[0]).__name__))
+        return out
+
+    monkeypatch.setattr(fastsum, "_pair_reduce", spy)
+    for n in range(6):
+        fastsum.sum_factored([vk.factored_weight(vertex_character(c))
+                              for c in enumerate_configs((), (), (), n)])
+    assert "_Dense" in layouts and "LaurentPoly" not in layouts
+
+
 @pytest.mark.parametrize("exps", [(292, 0, 0), (500, 3, -2)])
 def test_framing_beyond_lane_range_matches_symbolic(exps):
     symbolic = quot2_vertex_series(2)
