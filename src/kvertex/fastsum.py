@@ -414,8 +414,9 @@ def _line_sums_vanish(f, mv):
     |m_A| slabs along a lane A where m moves; A is chosen for the smallest
     accumulator, which is smaller than the box unless every line is only a
     few cells long. Halfway along A, the lines that have already left the
-    box through another lane are checked, so most failing divisions stop
-    early. The sums may wrap, which keeps a zero sum zero."""
+    box through another lane are checked, and a nonzero sum among them
+    rejects the division before the second half is read. The sums may
+    wrap, which keeps a zero sum zero."""
     shape = f.shape
     choices = []
     for ax, x in enumerate(mv):
