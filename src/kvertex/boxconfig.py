@@ -59,11 +59,6 @@ class BoxConfig:
     def leg_sizes(self):
         return sum(sum(leg) for leg in self.legs)
 
-    def widen(self, extra=1):
-        """The same configuration at stabilization bound + extra."""
-        nb = self.bound + extra
-        return BoxConfig(self.legs, nb, self.core | minimal_core(self.legs, nb))
-
     def to_json(self):
         return {
             "legs": [list(leg) for leg in self.legs],

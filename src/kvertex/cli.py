@@ -1,14 +1,17 @@
 """Command-line surface: compute vertex series, run identity and
 wall-crossing suites, emit JSON/CSV tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 computational error. Output is deterministic: identical invocations
-produce byte-identical files.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an
+unwritable --out path included), 3 computational error. Output is
+deterministic: identical invocations produce byte-identical files. Output
+is written only once the command has returned, so a usage or computational
+error leaves an existing --out file as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -43,12 +46,6 @@ def _emit_series(vs, fmt, out):
         out.write("%s vertex series, legs %s\n" % (vs.kind, list(map(list, vs.legs))))
         for n, c in enumerate(vs.series.coeffs, vs.series.min_power):
             out.write("  Q^%d: %s\n" % (n, c))
-
-
-def _open_out(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w"), True
 
 
 SUITES = ("qbinom", "qmultinom", "mochizuki", "joyce_lt", "joyce_b")
@@ -254,18 +251,26 @@ def main(argv=None):
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2
-    out, close = _open_out(getattr(args, "out", None))
+    out = io.StringIO()
     try:
-        return args.fn(args, out)
+        code = args.fn(args, out)
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2
     except (ArithmeticError, ValueError, ZeroDivisionError) as e:
         print("computational error: %s" % e, file=sys.stderr)
         return 3
-    finally:
-        if close:
-            out.close()
+    path = getattr(args, "out", None)
+    if path is None:
+        sys.stdout.write(out.getvalue())
+        return code
+    try:
+        with open(path, "w") as f:
+            f.write(out.getvalue())
+    except OSError as e:
+        print("usage error: cannot write %s: %s" % (path, e.strerror), file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

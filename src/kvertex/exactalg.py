@@ -1,9 +1,13 @@
 """Exact arithmetic kernel: sparse Laurent polynomials, rational functions,
 and truncated power series.
 
-Everything is exact. Coefficients are Python ints or Fractions, exponents
+Everything is exact. Polynomial coefficients are Python ints, exponents
 are half-integers stored as doubled integers, so e.g. kappa^(1/2) is an
-honest monomial. There is no floating point anywhere in this module.
+honest monomial. Every weight the vertex sums is a product of binomials
+w^(1/2) - w^(-1/2), so integer numerators over such factors cover every
+computation; the one rational scalar a RatFunc can carry is its
+denominator's integer content, `scale`. There is no floating point anywhere
+in this module.
 
 Variables, in order: t1, t2, t3, w1, w2. The distinguished weight
 kappa = t1*t2*t3 gets dedicated helpers since half powers of it appear
@@ -18,7 +22,7 @@ addition. The public API speaks doubled-exponent tuples.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
+from math import gcd
 
 NVARS = 5
 VAR_NAMES = ("t1", "t2", "t3", "w1", "w2")
@@ -48,15 +52,6 @@ def _kneg(k):
     return 2 * PACK_ZERO - k
 
 
-def _coeff_clean(c):
-    """Collapse Fractions with denominator 1 back to int."""
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 def exps_str(exps):
     """Canonical text form, doubled exponents in: t1^(a/2) t2^(b/2) ..."""
     parts = []
@@ -73,7 +68,7 @@ def exps_str(exps):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial with exact coefficients.
+    """Sparse Laurent polynomial with integer coefficients.
 
     Stored as a dict from packed monomial keys to nonzero coefficients.
     Instances are immutable by convention: no method mutates self, and the
@@ -93,12 +88,14 @@ class LaurentPoly:
 
     @staticmethod
     def const(c):
-        c = _coeff_clean(c)
+        if type(c) is not int:
+            raise TypeError("coefficient %r is not an int" % (c,))
         return LaurentPoly({PACK_ZERO: c}) if c else LaurentPoly({})
 
     @staticmethod
     def term(c, exps):
-        c = _coeff_clean(c)
+        if type(c) is not int:
+            raise TypeError("coefficient %r is not an int" % (c,))
         if not c:
             return LaurentPoly({})
         return LaurentPoly({_pack(exps): c})
@@ -114,7 +111,9 @@ class LaurentPoly:
             k = _pack(exps)
             c = d.get(k, 0) + c
             if c:
-                d[k] = _coeff_clean(c)
+                if type(c) is not int:
+                    raise TypeError("coefficient %r is not an int" % (c,))
+                d[k] = c
             elif k in d:
                 del d[k]
         return LaurentPoly(d)
@@ -147,7 +146,7 @@ class LaurentPoly:
 
     def coefficient_sum(self):
         """Value at t1 = t2 = t3 = w1 = w2 = 1 (the rank of a character)."""
-        return _coeff_clean(sum(self.d.values()))
+        return sum(self.d.values())
 
     def num_terms(self):
         return len(self.d)
@@ -161,15 +160,12 @@ class LaurentPoly:
                     used.add(i)
         return used
 
-    def has_integer_coeffs(self):
-        return all(isinstance(c, int) for c in self.d.values())
-
     # -- ring operations ----------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             return self.d == other.d
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.d == LaurentPoly.const(other).d
         return NotImplemented
 
@@ -189,7 +185,7 @@ class LaurentPoly:
 
     def __add__(self, other):
         if type(other) is not LaurentPoly:
-            if isinstance(other, (int, Fraction)):
+            if isinstance(other, int):
                 other = LaurentPoly.const(other)
             elif not isinstance(other, LaurentPoly):
                 return NotImplemented
@@ -200,7 +196,7 @@ class LaurentPoly:
         for k, c in b.items():
             s = d.get(k, 0) + c
             if s:
-                d[k] = _coeff_clean(s)
+                d[k] = s
             elif k in d:
                 del d[k]
         return LaurentPoly(d)
@@ -208,7 +204,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -219,12 +215,10 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if type(other) is not LaurentPoly:
-            if isinstance(other, (int, Fraction)):
+            if isinstance(other, int):
                 if not other:
                     return LaurentPoly({})
-                return LaurentPoly(
-                    {k: _coeff_clean(c * other) for k, c in self.d.items()}
-                )
+                return LaurentPoly({k: c * other for k, c in self.d.items()})
             if not isinstance(other, LaurentPoly):
                 return NotImplemented
         a, b = self.d, other.d
@@ -241,8 +235,6 @@ class LaurentPoly:
                     d[k] = s
                 elif k in d:
                     del d[k]
-        for k, c in d.items():
-            d[k] = _coeff_clean(c)
         return LaurentPoly(d)
 
     __rmul__ = __mul__
@@ -293,12 +285,7 @@ class LaurentPoly:
         genuine polynomial with a zero min-corner per coordinate."""
         if not self.d:
             return ZERO_EXPS
-        mins = [None] * NVARS
-        for k in self.d:
-            for i, e in enumerate(_unpack(k)):
-                if mins[i] is None or e < mins[i]:
-                    mins[i] = e
-        return tuple(mins)
+        return tuple(min((k >> s) & _MASK for k in self.d) - _OFF for s in _SHIFTS)
 
     def shift(self, exps):
         """Multiply by the monomial with the given doubled exponents."""
@@ -307,34 +294,22 @@ class LaurentPoly:
         off = _pack(exps) - PACK_ZERO
         return LaurentPoly({k + off: c for k, c in self.d.items()})
 
-    def rational_content(self):
-        """Positive rational g with self/g integer-primitive."""
-        from math import gcd
-
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.d.values():
-            f = Fraction(c)
-            num_gcd = gcd(num_gcd, f.numerator)
-            den_lcm = den_lcm * f.denominator // gcd(den_lcm, f.denominator)
-        return Fraction(num_gcd, den_lcm) if num_gcd else Fraction(1)
+    def content(self):
+        """The gcd of the coefficients: positive, or 0 for the zero
+        polynomial."""
+        return gcd(*self.d.values())
 
     def primitive_split(self):
         """(scalar, monomial_exps, primitive) with
-        self = scalar * monomial * primitive, primitive content-free with
-        lex-leading coefficient +1."""
+        self = scalar * monomial * primitive, scalar an int and primitive
+        content-free with lex-leading coefficient +1."""
         if not self.d:
-            return Fraction(0), ZERO_EXPS, LaurentPoly({})
+            return 0, ZERO_EXPS, LaurentPoly({})
         shift = self.monomial_content()
-        g = self.rational_content()
+        g = self.content()
         if self.d[max(self.d)] < 0:
             g = -g
-        off = _pack(shift) - PACK_ZERO
-        inv = 1 / Fraction(g)
-        prim = LaurentPoly(
-            {k - off: _coeff_clean(c * inv) for k, c in self.d.items()}
-        )
-        return g, shift, prim
+        return g, shift, divide_exact(self, LaurentPoly.term(g, shift))
 
     # -- substitutions -------------------------------------------------
 
@@ -348,7 +323,7 @@ class LaurentPoly:
             e = k - (((k >> s2) & _MASK) - _OFF) * unit
             s = d.get(e, 0) + coeff
             if s:
-                d[e] = _coeff_clean(s)
+                d[e] = s
             elif e in d:
                 del d[e]
         return LaurentPoly(d)
@@ -449,7 +424,7 @@ def _divide_by_binomial(p, q):
                 out[base + pos * mu - base_off] = qprev
                 pos += 1
             val = c - c1 * qprev
-            qprev = val * c2 if isinstance(val, int) else _coeff_clean(val * c2)
+            qprev = val * c2
             if qprev:
                 out[base + j * mu - base_off] = qprev
             pos = j + 1
@@ -459,8 +434,9 @@ def _divide_by_binomial(p, q):
 
 
 def divide_exact(p, q):
-    """Exact quotient p/q in the Laurent ring, or None if q does not
-    divide p.
+    """Exact quotient p/q in the integer Laurent ring, or None if q does
+    not divide p there (a quotient with a non-integer coefficient counts as
+    no quotient; for a primitive q none arises, by Gauss's lemma).
 
     Two-term divisors with coefficients +-1, the only binomials the
     vertex and wall-crossing code divides by, take a line-recurrence path.
@@ -477,9 +453,13 @@ def divide_exact(p, q):
         off = kq - PACK_ZERO
         if cq == 1:
             return LaurentPoly({k - off: c for k, c in p.d.items()})
-        return LaurentPoly(
-            {k - off: _coeff_clean(Fraction(c) / Fraction(cq)) for k, c in p.d.items()}
-        )
+        out = {}
+        for k, c in p.d.items():
+            qc, r = divmod(c, cq)
+            if r:
+                return None
+            out[k - off] = qc
+        return LaurentPoly(out)
     if len(q.d) == 2 and all(c == 1 or c == -1 for c in q.d.values()):
         return _divide_by_binomial(p, q)
     sp = _pack(p.monomial_content()) - PACK_ZERO
@@ -503,10 +483,9 @@ def divide_exact(p, q):
         uq = _unpack(qk)
         if any(x < 0 for x in uq):
             return None
-        if isinstance(c, int) and isinstance(qlc, int) and c % qlc == 0:
-            qc = c // qlc
-        else:
-            qc = _coeff_clean(Fraction(c) / Fraction(qlc))
+        qc, r = divmod(c, qlc)
+        if r:
+            return None
         out[qk + shift] = qc
         del pd[k]
         for dk, dc in qrest:
@@ -515,7 +494,7 @@ def divide_exact(p, q):
             if s:
                 if nk not in pd:
                     heapq.heappush(heap, -nk)
-                pd[nk] = _coeff_clean(s)
+                pd[nk] = s
             elif nk in pd:
                 del pd[nk]
     if pd:
@@ -523,24 +502,34 @@ def divide_exact(p, q):
     return LaurentPoly(out)
 
 
-def _fold_factors(num, fac, factors):
-    """num / prod poly^mult over the pairs (poly, mult) of factors, with the
-    denominator kept factored: the primitive part of each poly goes into
-    the factor dict fac, and the rational contents and monomials of all of
-    them into one unit that multiplies the numerator, which is returned."""
-    scalar = 1
+def _fold_factors(num, fac, factors, scale=1):
+    """num / (scale * prod poly^mult) over the pairs (poly, mult) of
+    factors, with the denominator kept factored: the primitive part of each
+    poly goes into the factor dict fac, the monomials of all of them shift
+    the numerator, and their signed contents multiply scale. Returns the
+    numerator and scale in lowest terms (see _lowest_terms)."""
     shift = ZERO_EXPS
     for poly, mult in factors:
         g, shiftexp, prim = poly.primitive_split()
         if g != 1:
-            scalar /= Fraction(g) ** mult
+            scale *= g ** mult
         if shiftexp != ZERO_EXPS:
             shift = tuple(s - mult * x for s, x in zip(shift, shiftexp))
         if not prim.is_constant():
             fac[prim] = fac.get(prim, 0) + mult
-    if scalar != 1:
-        num = -num if scalar == -1 else num * scalar
-    return num.shift(shift)
+    if scale < 0:
+        num, scale = -num, -scale
+    if scale != 1:
+        num, scale = _lowest_terms(num, scale)
+    return num.shift(shift), scale
+
+
+def _lowest_terms(num, scale):
+    """(num / g, scale / g) for g the gcd of scale > 0 and num's content."""
+    g = gcd(num.content(), scale)
+    if g == 1:
+        return num, scale
+    return divide_exact(num, LaurentPoly.const(g)), scale // g
 
 
 def _catch_up(num, want, have):
@@ -553,48 +542,54 @@ def _catch_up(num, want, have):
 
 
 class RatFunc:
-    """Normalized rational function num / prod(factor^mult).
+    """Normalized rational function num / (scale * prod(factor^mult)).
 
     The denominator is kept factored: a dict mapping primitive factor
     polynomials (integer content 1, lex-leading coefficient +1, no monomial
-    content) to positive multiplicities. The pair is reduced by trial
-    division: no stored factor divides the numerator. Rational and monomial
-    content of the denominator is always folded into the numerator, so the
-    expanded denominator is primitive with lex-leading coefficient +1, which
-    makes equality of normal forms decidable and serialization canonical.
+    content) to positive multiplicities, and scale, a positive int coprime
+    to the numerator's content. The pair is reduced by trial division: no
+    stored factor divides the numerator. Sign and monomial content of the
+    denominator are always folded into the numerator, so the expanded
+    denominator is scale times a primitive polynomial with lex-leading
+    coefficient +1, which makes equality of normal forms decidable and
+    serialization canonical. Only a denominator with integer content, in
+    _fold_factors, makes scale exceed 1; a sum of fixed-point weights never
+    does.
     """
 
-    __slots__ = ("num", "fac")
+    __slots__ = ("num", "fac", "scale")
 
     def __init__(self, num, den=ONE):
-        if isinstance(num, (int, Fraction)):
+        if isinstance(num, int):
             num = LaurentPoly.const(num)
-        if isinstance(den, (int, Fraction)):
+        if isinstance(den, int):
             den = LaurentPoly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("division by zero")
         self.fac = {}
-        self.num = _fold_factors(num, self.fac, [(den, 1)])
+        self.num, self.scale = _fold_factors(num, self.fac, [(den, 1)])
         self._reduce()
 
     @staticmethod
-    def _raw(num, fac):
-        r = object.__new__(RatFunc)
-        r.num = num
-        r.fac = fac
+    def _raw(num, fac, scale=1):
+        if scale != 1:
+            num, scale = _lowest_terms(num, scale)
+        r = RatFunc._prereduced(num, fac, scale)
         r._reduce()
         return r
 
     @staticmethod
-    def _prereduced(num, fac):
+    def _prereduced(num, fac, scale=1):
         r = object.__new__(RatFunc)
         r.num = num
         r.fac = fac
+        r.scale = scale
         return r
 
     def _reduce(self):
         # One pass suffices: a factor that does not divide num cannot
-        # divide a quotient of num either.
+        # divide a quotient of num either. A primitive factor leaves the
+        # content of num, and so its gcd with scale, unchanged.
         num = self.num
         if num.is_zero():
             self.fac = {}
@@ -634,11 +629,11 @@ class RatFunc:
 
     @property
     def den(self):
-        """The expanded denominator (primitive, lex-leading coefficient
-        +1)."""
+        """The expanded denominator (scale times a primitive polynomial
+        with lex-leading coefficient +1)."""
         # canonical factor order, whatever order the factors came in
         order = sorted(self.fac, key=LaurentPoly.terms)
-        return _catch_up(ONE, {f: self.fac[f] for f in order}, {})
+        return _catch_up(LaurentPoly.const(self.scale), {f: self.fac[f] for f in order}, {})
 
     def is_zero(self):
         return self.num.is_zero()
@@ -647,13 +642,19 @@ class RatFunc:
         return bool(self.num)
 
     def is_poly(self):
+        """True if the denominator is a constant (the scale)."""
         return not self.fac
 
     def as_constant(self):
-        """Constant rational value, or None."""
+        """Constant value (an int, or a Fraction if scale > 1), or None."""
         if self.fac:
             return None
-        return self.num.as_constant()
+        c = self.num.as_constant()
+        if c is None or self.scale == 1:
+            return c
+        from fractions import Fraction
+
+        return Fraction(c, self.scale)
 
     def uses_vars(self):
         used = self.num.uses_vars()
@@ -664,7 +665,7 @@ class RatFunc:
     # -- arithmetic ---------------------------------------------------
 
     def __neg__(self):
-        return RatFunc._prereduced(-self.num, dict(self.fac))
+        return RatFunc._prereduced(-self.num, dict(self.fac), self.scale)
 
     def __add__(self, other):
         other = _as_ratfunc(other)
@@ -680,7 +681,13 @@ class RatFunc:
                 lcm[f] = mult
         a = _catch_up(self.num, lcm, self.fac)
         b = _catch_up(other.num, lcm, other.fac)
-        return RatFunc._raw(a + b, lcm)
+        scale = self.scale
+        if scale != other.scale:
+            g = gcd(scale, other.scale)
+            a = a * (other.scale // g)
+            b = b * (scale // g)
+            scale *= other.scale // g
+        return RatFunc._raw(a + b, lcm, scale)
 
     __radd__ = __add__
 
@@ -702,7 +709,7 @@ class RatFunc:
         fac = dict(self.fac)
         for f, mult in other.fac.items():
             fac[f] = fac.get(f, 0) + mult
-        return RatFunc._raw(self.num * other.num, fac)
+        return RatFunc._raw(self.num * other.num, fac, self.scale * other.scale)
 
     __rmul__ = __mul__
 
@@ -710,8 +717,10 @@ class RatFunc:
         if self.num.is_zero():
             raise ZeroDivisionError("division by zero")
         fac = {}
-        num = _fold_factors(_catch_up(ONE, self.fac, {}), fac, [(self.num, 1)])
-        return RatFunc._raw(num, fac)
+        num, scale = _fold_factors(
+            _catch_up(LaurentPoly.const(self.scale), self.fac, {}), fac, [(self.num, 1)]
+        )
+        return RatFunc._raw(num, fac, scale)
 
     def __truediv__(self, other):
         other = _as_ratfunc(other)
@@ -736,6 +745,8 @@ class RatFunc:
             shared[f] = min(self.fac[f], other.fac[f])
         a = _catch_up(self.num, other.fac, shared)
         b = _catch_up(other.num, self.fac, shared)
+        if self.scale != other.scale:
+            a, b = a * other.scale, b * self.scale
         return a == b
 
     def __ne__(self, other):
@@ -744,9 +755,10 @@ class RatFunc:
 
     def bar(self):
         fac = {}
-        num = _fold_factors(self.num.bar(), fac,
-                            [(f.bar(), mult) for f, mult in self.fac.items()])
-        return RatFunc._raw(num, fac)
+        num, scale = _fold_factors(
+            self.num.bar(), fac, [(f.bar(), mult) for f, mult in self.fac.items()], self.scale
+        )
+        return RatFunc._raw(num, fac, scale)
 
     # -- substitutions --------------------------------------------------
 
@@ -777,7 +789,7 @@ class RatFunc:
     # -- display ----------------------------------------------------------
 
     def __str__(self):
-        if self.is_poly():
+        if self.is_poly() and self.scale == 1:
             return str(self.num)
         return "(%s) / (%s)" % (self.num, self.den)
 
@@ -793,7 +805,7 @@ def _as_ratfunc(x):
         return x
     if isinstance(x, LaurentPoly):
         return RatFunc.from_poly(x)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return RatFunc.from_poly(LaurentPoly.const(x))
     return NotImplemented
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 
 from .exactalg import LaurentPoly, divide_exact, kappa_pow
 
@@ -175,29 +174,6 @@ def c_word(w, i, j):
     if not seen_i or not seen_j:
         raise ValueError("both letters must occur in the word")
     return c
-
-
-def dim_vector(w, letter):
-    """Prefix-count dimension vector of one letter, with the stable final
-    entry appended (length len(w) + 1)."""
-    e = []
-    n = 0
-    for x in w:
-        if x == letter:
-            n += 1
-        e.append(n)
-    e.append(n)
-    return tuple(e)
-
-
-def c_Q(evec, fvec):
-    """Antisymmetrized chain-quiver Euler pairing
-    sum_i (e_i f_{i+1} - f_i e_{i+1}) over i = 1..len-1."""
-    if len(evec) != len(fvec):
-        raise ValueError("dimension vectors must have equal length")
-    return sum(
-        evec[i] * fvec[i + 1] - fvec[i] * evec[i + 1] for i in range(len(evec) - 1)
-    )
 
 
 def _word_stats(w, nletters):
@@ -490,9 +466,3 @@ def check_identity(prop, *, m=None, n=None, mvec=None, N=None):
         return IdentityResult(prop, {"mvec": list(mvec), "N": N}, lhs, rhs)
 
     raise ValueError("unknown identity %r" % (prop,))
-
-
-def kappa_one_value(p):
-    """Evaluate a kappa-Laurent polynomial at kappa = 1."""
-    val = sum(Fraction(c) for _, c in p.terms())
-    return val if val.denominator != 1 else val.numerator

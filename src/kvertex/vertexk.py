@@ -277,7 +277,7 @@ def fixed_point_weight(vchar):
     Accepts a certified VertexChar or any Laurent polynomial with integer
     multiplicities and no trivial weight."""
     if isinstance(vchar, LaurentPoly):
-        if not vchar.has_integer_coeffs():
+        if not all(isinstance(c, int) for c in vchar.d.values()):
             raise ArithmeticError("non-integer multiplicity")
         if vchar.coeff((0, 0, 0, 0, 0)):
             raise ArithmeticError("non-isolated contribution")
@@ -297,8 +297,8 @@ def _pair_to_ratfunc(pair):
     """Reduced factored pair as a normalized RatFunc."""
     num, den = pair
     fac = {}
-    num = _fold_factors(num, fac, [(_half_binomial(m), e) for m, e in sorted(den.items())])
-    return RatFunc._prereduced(num, fac)
+    num, scale = _fold_factors(num, fac, [(_half_binomial(m), e) for m, e in sorted(den.items())])
+    return RatFunc._prereduced(num, fac, scale)
 
 
 def sum_weights(fws):

@@ -15,8 +15,6 @@ normalization), so hilb symbols start at index 1 with hilb[0] = 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactalg import LaurentPoly, QSeries, RatFunc
 from .qcombi import (
     compositions,
@@ -43,7 +41,7 @@ class FormalExpr:
 
     @staticmethod
     def scalar(c):
-        if isinstance(c, (int, Fraction, LaurentPoly)):
+        if isinstance(c, (int, LaurentPoly)):
             c = _as_kappa_rf(c)
         if c.is_zero():
             return FormalExpr({})
@@ -60,7 +58,7 @@ class FormalExpr:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly, RatFunc)):
+        if isinstance(other, (int, LaurentPoly, RatFunc)):
             other = FormalExpr.scalar(other)
         if not isinstance(other, FormalExpr):
             return NotImplemented
@@ -76,7 +74,7 @@ class FormalExpr:
         return FormalExpr({k: -v for k, v in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly, RatFunc)):
+        if isinstance(other, (int, LaurentPoly, RatFunc)):
             other = FormalExpr.scalar(other)
         if not isinstance(other, FormalExpr):
             return NotImplemented
@@ -93,7 +91,7 @@ class FormalExpr:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly, RatFunc)):
+        if isinstance(other, (int, LaurentPoly, RatFunc)):
             other = FormalExpr.scalar(other)
         if not isinstance(other, FormalExpr):
             return NotImplemented
@@ -103,7 +101,7 @@ class FormalExpr:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly, RatFunc)):
+        if isinstance(other, (int, LaurentPoly, RatFunc)):
             c = _as_kappa_rf(other)
             if c.is_zero():
                 return FormalExpr({})
@@ -155,12 +153,6 @@ class FormalExpr:
                 acc = acc * values[sym]
             out = out + acc
         return out
-
-    def set_to_zero(self, family):
-        """Drop every term containing a symbol of the given family."""
-        return FormalExpr(
-            {k: v for k, v in self.terms.items() if all(f != family for f, _ in k)}
-        )
 
     def __str__(self):
         if not self.terms:

@@ -134,7 +134,7 @@ def _invariant_violations(args):
             bad += 1
         elif v.coeff((0, 0, 0, 0, 0)) != 0:
             bad += 1
-        elif not v.has_integer_coeffs():
+        elif not all(type(c) is int for c in v.d.values()):
             bad += 1
     return bad
 

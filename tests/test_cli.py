@@ -40,6 +40,27 @@ def test_dt_vertex_json_deterministic(tmp_path):
     assert payload["minPower"] == 0
 
 
+def test_unwritable_out_is_usage_error(tmp_path):
+    path = tmp_path / "no-such-dir" / "x.json"
+    proc = run_cli("dt-vertex", "--order", "1", "--jobs", "1", "--out", str(path))
+    assert proc.returncode == 2
+    assert str(path) in proc.stderr and "Traceback" not in proc.stderr
+    assert not path.exists()
+
+
+def test_failed_command_leaves_out_file_intact(tmp_path):
+    out = tmp_path / "f"
+    out.write_text("earlier output\n")
+    # a usage error found by the command, and a computational error
+    for args, code in (
+        (("check-wcf", "--order", "9", "--frame-dim", "5"), 2),
+        (("cy-limit", "--legs", "1;;", "--order", "1", "--jobs", "1"), 3),
+    ):
+        proc = run_cli(*args, "--out", str(out))
+        assert proc.returncode == code, args
+        assert out.read_text() == "earlier output\n", args
+
+
 def test_jobs_flag_deterministic(tmp_path):
     a = run_cli("dt-vertex", "--legs", ";;", "--order", "2", "--jobs", "1")
     b = run_cli("dt-vertex", "--legs", ";;", "--order", "2", "--jobs", "2")

@@ -17,6 +17,7 @@ from kvertex.exactalg import (
     divide_exact,
     exps_str,
 )
+from kvertex.vertexk import cy_constancy_check, dt_vertex_series
 
 
 def rand_poly(rng, nterms=5, span=4, coeff=6):
@@ -43,9 +44,22 @@ def test_ring_axioms_random():
         assert rev == a and hash(rev) == hash(a)
         assert hash(a * b) == hash(b * a)
     # a constant polynomial equals its constant, so hashes as it
-    for c in (3, 0, -1, Fraction(1, 2)):
+    for c in (3, 0, -1):
         assert LaurentPoly.const(c) == c
         assert hash(LaurentPoly.const(c)) == hash(c)
+
+
+def test_coefficients_are_ints():
+    half = Fraction(1, 2)
+    with pytest.raises(TypeError):
+        LaurentPoly.const(half)
+    with pytest.raises(TypeError):
+        LaurentPoly.term(half, (2, 0, 0, 0, 0))
+    with pytest.raises(TypeError):
+        LaurentPoly.from_terms([(1, (0, 2, 0, 0, 0)), (half, (2, 0, 0, 0, 0))])
+    with pytest.raises(TypeError):
+        T1 * half
+    assert LaurentPoly.const(1) != half
 
 
 def test_bar_involution_and_homomorphism():
@@ -71,10 +85,14 @@ def test_coefficient_sum_types():
     p = (ONE - T1) * (ONE + T2 + T2 * T3)
     assert type(p.coefficient_sum()) is int and p.coefficient_sum() == 0
     assert type((p + T3 * 4).coefficient_sum()) is int
-    half = LaurentPoly.const(Fraction(1, 2))
-    assert (half + half * T1).coefficient_sum() == 1
-    assert type((half + half * T1).coefficient_sum()) is int
-    assert (half + T1).coefficient_sum() == Fraction(3, 2)
+    # a half lives in a RatFunc's scale, never in a coefficient: the value
+    # at t = 1 is the numerator's coefficient sum over the scale
+    half = RatFunc(ONE, 2)
+    s = half + half * T1
+    assert (s.num.coefficient_sum(), s.scale) == (2, 2)
+    assert type(s.num.coefficient_sum()) is int
+    s = half + T1
+    assert (s.num.coefficient_sum(), s.scale) == (3, 2)
 
 
 def test_divide_exact_roundtrip():
@@ -93,13 +111,25 @@ def test_divide_exact_roundtrip():
             assert got2 * q == probe
 
 
+def test_divide_exact_is_integral():
+    # a quotient with a non-integer coefficient is no quotient
+    assert divide_exact(2 * T1 + 1, LaurentPoly.const(2)) is None
+    assert divide_exact(2 * T1 + 4, LaurentPoly.const(2)) == T1 + 2
+    # long division by a non-primitive divisor: (1 + t1) / (2 t1 + 2) = 1/2,
+    # and 3 t1 + 2 leaves a remainder t1 at the first step
+    assert divide_exact(ONE + T1, 2 * T1 + 2) is None
+    assert divide_exact(3 * T1 + 2, 2 * T1 + 2) is None
+    assert divide_exact(4 * T1 * T2 + 4 * T2, 2 * T1 + 2) == 2 * T2
+
+
 def test_ratfunc_normalize_examples():
     assert RatFunc(T1 - T1 * T1, ONE - T1) == RatFunc.from_poly(T1)
     assert RatFunc(T1 - T1 * T1, ONE - T1).is_poly()
     assert RatFunc(LaurentPoly.zero(), ONE - T2).is_zero()
     half_t1 = RatFunc(2 * T1, LaurentPoly.const(4))
     assert half_t1.is_poly()
-    assert half_t1.num == T1 * Fraction(1, 2)
+    assert half_t1.num == T1 and half_t1.scale == 2
+    assert str(half_t1) == "(t1) / (2)"
     with pytest.raises(ZeroDivisionError, match="division by zero"):
         RatFunc(ONE, LaurentPoly.zero())
 
@@ -144,11 +174,36 @@ def test_ratfunc_arithmetic():
     assert r.bar().bar() == r
     assert r.inverse().inverse() == r
     assert r * r.inverse() == RatFunc.one()
-    # a numerator with content 2: the inverse folds 1/2 into its numerator
+    # a numerator with content 2: the inverse keeps the 2 as its scale
     c = RatFunc(2 * T1 + 2 * T2, ONE - T3)
-    assert c.inverse().num == (ONE - T3) * Fraction(1, 2)
+    assert c.inverse().num == ONE - T3 and c.inverse().scale == 2
     assert c.inverse() == RatFunc(ONE - T3, 2 * T1 + 2 * T2)
     assert c.inverse().inverse() == c
+    assert c.inverse().inverse().scale == 1
+
+
+def test_ratfunc_across_scales():
+    a = RatFunc(T1, 2)
+    b = RatFunc(ONE, 3)
+    c = RatFunc(T2, 6 * (ONE - T1))
+    assert (a.scale, b.scale, c.scale) == (2, 3, 6)
+    assert a == RatFunc(3 * T1, 6) and a != RatFunc(T1, 3) and a != T1
+    assert a + b == RatFunc(3 * T1 + 2, 6) and (a + b).scale == 6
+    # sums and products lower the scale when the numerator's content allows
+    assert a + a == RatFunc.from_poly(T1) and (a + a).scale == 1
+    assert (a * 2).scale == 1 and a * 2 == T1
+    assert a * b == RatFunc(T1, 6) and (a * b).scale == 6
+    assert (c * 3 + a * 2).scale == 2
+    assert c * 3 + a * 2 == RatFunc(T2 + 2 * T1 - 2 * T1 * T1, 2 * (ONE - T1))
+    assert a.inverse() == RatFunc(2, T1) and a.inverse().scale == 1
+    assert c.inverse() == RatFunc(6 - 6 * T1, T2) and c.inverse().inverse() == c
+    assert c * c.inverse() == RatFunc.one()
+    assert a.bar() == RatFunc(T1.bar(), 2) and a.bar().scale == 2
+    assert c.bar() == RatFunc(T2.bar(), 6 * (ONE - T1.bar())) and c.bar().bar() == c
+    assert a - a == RatFunc.zero() and (a - a).scale == 1
+    assert c.den == 6 * (T1 - ONE)
+    assert b.as_constant() == Fraction(1, 3)
+    assert type((b * 3).as_constant()) is int
 
 
 def one_series(trunc):
@@ -230,6 +285,12 @@ def test_cy_subst_cancels_kappa_minus_one():
     assert r.subst_t3_cy().as_constant() == 2
     with pytest.raises(ZeroDivisionError, match="singular specialization"):
         RatFunc(ONE, KAPPA - ONE).subst_t3_cy()
+
+
+def test_cy_constants_are_ints():
+    vals = cy_constancy_check(dt_vertex_series(order=3, jobs=1))
+    assert vals == [1, -1, 3, -6]
+    assert all(type(v) is int for v in vals)
 
 
 def test_canonical_text_and_json():

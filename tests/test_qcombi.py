@@ -10,13 +10,10 @@ from kvertex.exactalg import LaurentPoly, kappa_pow
 from kvertex.qcombi import (
     ORDER_KINDS,
     _word_stats,
-    c_Q,
     c_word,
     check_identity,
     compositions,
-    dim_vector,
     enumerate_words,
-    kappa_one_value,
     multisets_le3,
     parse_partition,
     partition,
@@ -84,7 +81,7 @@ def test_quantum_int_negation():
 def test_quantum_int_kappa_one_limit():
     for n in range(-20, 21):
         expect = n if n % 2 else -n
-        assert kappa_one_value(quantum_int(n)) == expect
+        assert quantum_int(n).coefficient_sum() == expect  # value at kappa = 1
 
 
 def test_quantum_difference_identity():
@@ -147,6 +144,29 @@ def test_c_word_parity_and_reversal():
                 assert c % 2 == parities[(i, j)]
                 assert c_word(tuple(reversed(w)), i, j) == -c
                 assert c_word(w, j, i) == -c
+
+
+def dim_vector(w, letter):
+    """Prefix-count dimension vector of one letter, with the stable final
+    entry appended (length len(w) + 1)."""
+    e = []
+    n = 0
+    for x in w:
+        if x == letter:
+            n += 1
+        e.append(n)
+    e.append(n)
+    return tuple(e)
+
+
+def c_Q(evec, fvec):
+    """Antisymmetrized chain-quiver Euler pairing
+    sum_i (e_i f_{i+1} - f_i e_{i+1}) over i = 1..len-1."""
+    if len(evec) != len(fvec):
+        raise ValueError("dimension vectors must have equal length")
+    return sum(
+        evec[i] * fvec[i + 1] - fvec[i] * evec[i + 1] for i in range(len(evec) - 1)
+    )
 
 
 def test_dim_vector_and_pairing():

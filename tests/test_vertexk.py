@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from kvertex.boxconfig import BoxConfig, enumerate_configs, min_volume, plane_partitions
+from kvertex.boxconfig import (
+    BoxConfig,
+    enumerate_configs,
+    min_volume,
+    minimal_core,
+    plane_partitions,
+)
 from kvertex.exactalg import KAPPA, ONE, LaurentPoly, RatFunc
 from kvertex.vertexk import (
     cy_constancy_check,
@@ -17,6 +23,13 @@ from kvertex.vertexk import (
     quot2_vertex_series,
     vertex_character,
 )
+
+
+def widen(config, extra=1):
+    """The same configuration at stabilization bound + extra."""
+    nb = config.bound + extra
+    return BoxConfig(config.legs, nb, config.core | minimal_core(config.legs, nb))
+
 
 SINGLE_BOX_V = LaurentPoly.from_terms(
     [
@@ -93,7 +106,7 @@ def test_vertex_invariants_small_budget():
                 assert v.bar() == minus_kappa * v
                 assert v.coefficient_sum() == 0
                 assert v.coeff((0, 0, 0, 0, 0)) == 0
-                assert v.has_integer_coeffs()
+                assert all(type(c) is int for c in v.d.values())
 
 
 LEG_CHOICES = ((), (1,), (2,), (1, 1))
@@ -139,7 +152,7 @@ def test_character_from_minimal_matches_scratch():
 def test_character_independent_of_bound():
     for legs in (((), (), ()), ((1,), (), ()), ((2,), (1, 1), ()), ((1,), (1,), (1,))):
         for c in enumerate_configs(*legs, n=min_volume(*legs) + 2):
-            assert vertex_character(c.widen(2)) == vertex_character(c)
+            assert vertex_character(widen(c, 2)) == vertex_character(c)
 
 
 def test_character_rejects_unstabilized_core():
