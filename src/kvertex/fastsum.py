@@ -43,15 +43,21 @@ loose bound never sends a merge to dicts. Each step's operands stay below
 _COEFF_LIMIT, so no int64 value wraps.
 
 Division by a weight binomial t^m - t^(-m) is exact or fails (None). The
-sparse layout works line by line along the exponent direction 2m: after a
-per-line zero-sum precheck, the quotient is a segmented negated prefix sum
-over the dense range of line positions. The dense layout first sums every
-line along m into an accumulator the size of a few slabs; the division is
-exact exactly when all these sums vanish (none can wrap once the
-division's prefix-sum guard holds), so a failing division is rejected
-without a box-sized write. The quotient of an exact one is swept: the
-recursion q(x) = q(x - 2m) - (t^m f)(x) runs along the leading lane of m,
-one slab operation per step.
+sparse layout works line by line along the exponent direction 2m, and the
+division is exact exactly when every line sums to zero. Before any sort,
+each coefficient is weighted by a fixed 64-bit mix of its line key and the
+products are added modulo 2^64: with every line sum zero the total is
+zero, so a nonzero total rejects the division (a zero one proves nothing
+and falls through). Otherwise one stable sort by line key groups the
+lines, with each line in order, since the keys are sorted and the leading
+lane of m is positive; the line sums are checked exactly, and the quotient
+is a segmented negated prefix sum over the dense range of line positions.
+The dense layout first sums every line along m into an accumulator the
+size of a few slabs; the division is exact exactly when all these sums
+vanish (none can wrap once the division's prefix-sum guard holds), so a
+failing division is rejected without a box-sized write. The quotient of
+an exact one is swept: the recursion q(x) = q(x - 2m) - (t^m f)(x) runs
+along the leading lane of m, one slab operation per step.
 
 A dense merge allocates the union box once and grows the operand with
 catch-up binomials inside it, one in-place subtraction per binomial; the
@@ -217,12 +223,34 @@ def _line_keys_collide(lo, hi, mv, lead):
                for i, (x, h, y) in enumerate(zip(lo, hi, mv)) if i != lead)
 
 
+# Odd multipliers of the splitmix64 finalizer, the line-key mix of _line_hash.
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_MIX_SHIFT = np.uint64(31)
+
+
+def _line_hash(base, coeffs, out):
+    """sum_i coeffs[i] * mix(base[i]) mod 2^64, with mix a fixed 64-bit
+    mix of the line key; out, an int64 array of base's size, is overwritten.
+
+    The sum is sum_L mix(L) * (sum of line L's coefficients), so it is 0
+    when every line sums to zero, and a nonzero value proves that some
+    line does not."""
+    h = out.view(np.uint64)
+    np.multiply(base.view(np.uint64), _MIX[0], out=h)
+    np.bitwise_xor(h, h >> _MIX_SHIFT, out=h)
+    np.multiply(h, _MIX[1], out=h)
+    return int(np.dot(h, coeffs.view(np.uint64)))
+
+
 def _divide_binomial(arr, m):
     """Exact quotient arr / (t^m - t^(-m)), or None.
 
     Equivalent to dividing arr * t^m by t^(2m) - 1: group terms into lines
     along the direction 2m, reject unless every line sums to zero, then
     take negated running prefix sums along each line (dense across gaps).
+    The leading lane of m must be positive (vertexk.factored_weight keys
+    every weight so), so the sorted keys of arr run along each line in
+    order and one stable sort by line key groups them.
     """
     keys, coeffs = arr.keys, arr.coeffs
     if keys.size == 0:
@@ -232,6 +260,8 @@ def _divide_binomial(arr, m):
     mu = 2 * d
     lead = _lead(mv)
     halfstep = mv[lead]
+    if halfstep < 0:
+        raise ValueError("weight key %r has a negative leading lane" % (mv,))
     step = 2 * halfstep
     if _line_keys_collide(arr.lo, arr.hi, mv, lead):
         lanes = _lanes(keys)
@@ -239,35 +269,41 @@ def _divide_binomial(arr, m):
         arr.hi = tuple(lanes.max(axis=1).tolist())
         if _line_keys_collide(arr.lo, arr.hi, mv, lead):
             raise FastSumUnavailable("exponent out of lane range")
-    shifted = keys + d
-    lane = ((keys >> _SHIFTS[lead]) & _MASK) - _OFF + halfstep
+    n = keys.size
+    max_abs = _max_abs(coeffs)
+    if max_abs and n > _SUM_LIMIT // max_abs:
+        raise FastSumUnavailable("line sums could overflow")
+    lane = (keys >> _SHIFTS[lead]) & _MASK
+    lane += halfstep - _OFF
     j = lane // step
-    base = shifted - j * mu
-    order = np.lexsort((j, base))
+    base = j * -mu
+    base += keys
+    base += d
+    if _line_hash(base, coeffs, lane):
+        return None
+    del lane
+    order = np.argsort(base, kind="stable")
     base = base[order]
     j = j[order]
     c = coeffs[order]
-    starts = np.empty(base.size, dtype=bool)
+    del order
+    starts = np.empty(n, dtype=bool)
     starts[0] = True
     np.not_equal(base[1:], base[:-1], out=starts[1:])
     idx = np.flatnonzero(starts)
-    max_abs = int(np.abs(c).max()) if c.size else 0
-    if max_abs and base.size > _SUM_LIMIT // max_abs:
-        raise FastSumUnavailable("line sums could overflow")
     if np.add.reduceat(c, idx).any():
         return None
     seg_id = np.cumsum(starts) - 1
     line_base = base[idx]
     line_jfirst = j[idx]
-    offs = j - line_jfirst[seg_id]
-    seg_len = np.zeros(idx.size, dtype=np.int64)
-    np.maximum.at(seg_len, seg_id, offs + 1)
+    ends = np.append(idx[1:], n) - 1
+    seg_len = j[ends] - line_jfirst + 1
     seg_start = np.concatenate(([0], np.cumsum(seg_len)[:-1]))
     total = int(seg_len.sum())
     if max_abs and total > _SUM_LIMIT // max_abs:
         raise FastSumUnavailable("prefix sums could overflow")
     dense = np.zeros(total, dtype=np.int64)
-    dense[seg_start[seg_id] + offs] = c
+    dense[(seg_start - line_jfirst)[seg_id] + j] = c
     prefix = np.cumsum(dense)
     line_of_slot = np.repeat(np.arange(idx.size, dtype=np.int64), seg_len)
     carry = np.zeros(idx.size, dtype=np.int64)
@@ -279,9 +315,12 @@ def _divide_binomial(arr, m):
     nz = q != 0
     qnz = q[nz]
     _check_coeffs(qnz)
-    keys_out, qnz = _dedupe(keys_out[nz], qnz)
+    # distinct lines have distinct keys (_line_keys_collide), so the
+    # quotient's keys are unique and any sort orders them the same way
+    keys_out = keys_out[nz]
+    order = np.argsort(keys_out)
     am = [abs(x) for x in mv]
-    return _Sparse(keys_out, qnz, tuple(x + a for x, a in zip(arr.lo, am)),
+    return _Sparse(keys_out[order], qnz[order], tuple(x + a for x, a in zip(arr.lo, am)),
                    tuple(x - a for x, a in zip(arr.hi, am)))
 
 

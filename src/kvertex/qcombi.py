@@ -275,10 +275,15 @@ def _factor_product_sum(label, letters, k, counts):
     so the product expands over sign vectors into monomials in the one
     statistic sum_i eps_i T_i, and the numerator is divided exactly by
     (v - v^-1)^k.
+
+    The words with statistic t under eps have statistic -t under -eps, so
+    the term v^e of eps gives the term (-1)^k v^-e of -eps, and counts runs
+    only for the sign vectors with eps_0 = +1.
     """
     zeros = (0,) * (len(letters) - k)
     numer = {}
-    for signs in itertools.product((1, -1), repeat=k):
+    for rest in itertools.product((1, -1), repeat=max(k - 1, 0)):
+        signs = (1,) + rest if k else ()
         sign = 1
         base = 0
         for e, m in zip(signs, letters):
@@ -287,7 +292,10 @@ def _factor_product_sum(label, letters, k, counts):
         for t, c in counts(signs + zeros).items():
             # v^e = (-1)^e kappa^(e/2)
             e = base - t
-            numer[e] = numer.get(e, 0) + (-sign if e % 2 else sign) * c
+            s = (-sign if e % 2 else sign) * c
+            numer[e] = numer.get(e, 0) + s
+            if k:
+                numer[-e] = numer.get(-e, 0) + (-s if k % 2 else s)
     quotient = kd_to_poly(numer)
     for _ in range(k):
         quotient = divide_exact(quotient, _V_DIFF)

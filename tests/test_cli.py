@@ -1,18 +1,26 @@
 """Command-line surface: parsing, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from kvertex import vertexk
 
+# The checkout's sources, ahead of anything else the CLI could import.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_cli(*args):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
     proc = subprocess.run(
         [sys.executable, "-m", "kvertex.cli", *args],
         capture_output=True,
         text=True,
         timeout=600,
+        env=env,
     )
     return proc
 

@@ -326,13 +326,14 @@ def test_repeated_parts_are_summed_once_per_rearrangement():
 
 
 def test_inexact_word_sum_division_raises(monkeypatch):
-    # counts for eps = (+1,) alone leave the numerator v^2, which
-    # v - v^-1 does not divide
+    # counts {1: 1} for eps = (+1, +1) alone, and their mirror under
+    # eps = (-1, -1), leave the numerator v^2 + v^-2, which
+    # (v - v^-1)^2 does not divide
     monkeypatch.setattr(
-        qcombi, "_statistic_counts", lambda mvec, eps, pred: {0: 1} if eps[0] > 0 else {}
+        qcombi, "_statistic_counts", lambda mvec, eps, pred: {1: 1} if eps[:2] == (1, 1) else {}
     )
-    with pytest.raises(ArithmeticError, match=r"LT \(2, 1\)"):
-        restricted_word_sum("LT", (2, 1))
+    with pytest.raises(ArithmeticError, match=r"LT \(2, 1, 1\) is not divisible"):
+        restricted_word_sum("LT", (2, 1, 1))
 
 
 def test_check_identity_examples():

@@ -424,6 +424,83 @@ def _sparse(*terms):
                            tuple(map(min, lanes)), tuple(map(max, lanes)))
 
 
+def _sparse_division_cases():
+    """(f, m, divisible) for random sparse numerators f in all five lanes
+    and weight directions m with a positive leading lane: f = g * (t^m -
+    t^(-m)) for a random g, or that plus k t^x (1 + t^(2m)) (1 - t^e) for a
+    unit vector e, which puts the sums 2k and -2k on two lines along 2m of
+    several cells each."""
+    import random
+
+    from kvertex.exactalg import _pack
+    from kvertex.fastsum import _half_binomial
+
+    rng = random.Random(11)
+
+    def point():
+        return tuple(rng.randint(-4, 4) for _ in range(5))
+
+    cases = []
+    while len(cases) < 40:
+        m = point()
+        if not any(m) or next(x for x in m if x) < 0:
+            continue
+        g = LaurentPoly.from_terms((rng.choice((-1, 1)) * rng.randint(1, 9), point())
+                                   for _ in range(rng.randint(1, 40)))
+        if g.is_zero():
+            continue
+        f = g * _half_binomial(_pack(m))
+        divisible = len(cases) % 2 == 0
+        if not divisible:
+            e = [0] * 5
+            e[rng.randrange(5)] = 1
+            f = f + (LaurentPoly.term(rng.randint(1, 9), point())
+                     * (ONE + LaurentPoly.term(1, tuple(2 * x for x in m)))
+                     * (ONE - LaurentPoly.term(1, tuple(e))))
+        cases.append((_sparse(*[(c, x) for x, c in f.terms()]), m, divisible))
+    return cases
+
+
+def _check_sparse_division(cases):
+    """Every sparse division agrees with divide_exact on the dict layout."""
+    import numpy as np
+
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack, divide_exact
+
+    for f, m, divisible in cases:
+        want = divide_exact(fastsum._to_poly(f), fastsum._half_binomial(_pack(m)))
+        assert (want is not None) == divisible
+        got = fastsum._divide_binomial(f, fastsum._small_from_big(_pack(m)))
+        if not divisible:
+            assert got is None
+            continue
+        assert fastsum._to_poly(got) == want
+        assert (np.diff(got.keys) > 0).all() and got.coeffs.all()
+
+
+def test_sparse_division_matches_dict_division():
+    _check_sparse_division(_sparse_division_cases())
+
+
+def test_sparse_division_exact_check_without_hash_filter(monkeypatch):
+    # With the hashed line sum forced to pass, the exact line sums alone
+    # reject every division that is not exact.
+    from kvertex import fastsum
+
+    monkeypatch.setattr(fastsum, "_line_hash", lambda base, coeffs, out: 0)
+    _check_sparse_division(_sparse_division_cases())
+
+
+def test_sparse_division_rejects_negative_leading_lane():
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+
+    f = _numerator(((1, 2, 0, 0, 0), 1))
+    with pytest.raises(ValueError, match=r"\(-1, 2, 0, 0, 0\) has a negative leading lane"):
+        fastsum._divide_binomial(f, fastsum._small_from_big(_pack((-1, 2, 0, 0, 0))))
+
+
 def _quotient_case(c):
     """(f, m, q) with f = q * (t^m - t^(-m)), q = c (1 + 2 t^(2m) + t^(4m)):
     the quotient's largest coefficient is twice the dividend's."""
