@@ -17,6 +17,7 @@ import os
 import sys
 
 from . import qcombi, vertexk, wallcross
+from .boxconfig import min_volume
 from .qcombi import compositions, multisets_le3, parse_partition
 
 
@@ -240,10 +241,13 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if getattr(args, "order", 0) < 0:
-            raise UsageError("order must be nonnegative")
+        nmin = 0
         if getattr(args, "legs", None) is not None:
             args.legs = parse_legs(args.legs)
+            nmin = min_volume(*args.legs)
+        if getattr(args, "order", 0) < nmin:
+            raise UsageError("order must be at least %d, the minimal volume of these legs" % nmin
+                             if nmin else "order must be nonnegative")
         if getattr(args, "jobs", 1) < 1:
             raise UsageError("jobs must be positive")
         if getattr(args, "max_n", 2) < 2:

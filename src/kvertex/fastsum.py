@@ -7,9 +7,9 @@ after every merge. Denominators are dicts keyed by the big-packed
 half-weight keys of vertexk.FactoredWeight. A numerator is held in one of
 three layouts:
 
-- sparse: numpy int64 arrays of packed monomial keys (five 12-bit lanes,
-  one per variable) and coefficients, plus per-lane bounds on the
-  exponents;
+- sparse: numpy int64 arrays of packed monomial keys (one lane per
+  variable, most significant first) and coefficients, plus per-lane bounds
+  on the exponents;
 - dense: an int64 array over the numerator's exponent bounding box, plus
   the lane values of its origin cell. All terms of a product of weight
   binomials have the same parity in each lane, so one cell is 2 lane units
@@ -17,30 +17,39 @@ three layouts:
 - dict: an exact LaurentPoly, multiplied with mul_binomial and divided with
   divide_exact. It holds any exponent and any coefficient.
 
-Each leaf starts sparse, or as a dict when one of its factors leaves the
-12-bit lanes. A merge with a dict operand runs on dicts. Otherwise the
-merge goes dense when both operands share per-lane parity and the predicted
-box of the sum has at most _DENSE_FILL cells per operand term, and stays
-sparse if not. When an int64 merge or division raises FastSumUnavailable,
-that one merge or division is redone on dicts, and the numerator stays a
-dict from then on. No layout changes the merge order or the trial
-divisions, so all give the same result.
+Each sum packs its keys its own way (_Packing): the lanes that some factor
+of its weights uses share 60 key bits evenly, at most 24 bits each (the big
+packing's lane, so conversion to a dict is exact), and the other lanes get
+none. Five used lanes get 12 bits each, three (0-leg, legged and
+numerically framed sums, in t1-t3) get 20. The packing depends only on the
+weights, and every sparse or dense numerator carries it.
+
+Each leaf starts sparse, or as a dict when one of its factors leaves its
+lanes. A merge with a dict operand runs on dicts. Otherwise the merge goes
+dense when both operands share per-lane parity and the predicted box of the
+sum has at most _DENSE_FILL cells per operand term, and stays sparse if
+not. When an int64 merge or division raises FastSumUnavailable, that one
+merge or division is redone on dicts, and the numerator stays a dict from
+then on. No layout changes the merge order or the trial divisions, so all
+give the same result.
 
 Exactness of the int64 layouts is kept by range checks: every coefficient
-stays below _COEFF_LIMIT; sparse lanes are checked against the true lane
+stays below _COEFF_LIMIT; sparse lanes are checked against each lane's true
 range before every shift (bounds carried per array, recomputed from the
 keys when they cross it) and on every dense-to-sparse conversion; a weight
-binomial enters only if its exponents lie within _EXP_LIMIT. Sparse
-coefficients are checked after every combine. A dense numerator carries an
-upper bound on max |coeff|: exact when it is computed (on conversion from
-sparse, and at every gated check), otherwise propagated, times 2 per
-binomial, a + b per add and runs * bound per quotient (runs: the number of
-cells of a line), and kept by trimming and negation. A dense step scans its
-box for the max only when the propagated bound could reach _COEFF_LIMIT,
-and raises FastSumUnavailable only when the exact max does; the prefix-sum
-guard of a division likewise recomputes the bound before it raises, so a
-loose bound never sends a merge to dicts. Each step's operands stay below
-_COEFF_LIMIT, so no int64 value wraps.
+binomial enters only if each exponent lies within its lane's limit, 64
+below half the lane's range. Keys stay below 2^60, so a key plus or minus a
+weight offset never wraps. Sparse coefficients are checked after every
+combine. A dense numerator carries an upper bound on max |coeff|: exact
+when it is computed (on conversion from sparse, and at every gated check),
+otherwise propagated, times 2 per binomial, a + b per add and runs * bound
+per quotient (runs: the number of cells of a line), and kept by trimming
+and negation. A dense step scans its box for the max only when the
+propagated bound could reach _COEFF_LIMIT, and raises FastSumUnavailable
+only when the exact max does; the prefix-sum guard of a division likewise
+recomputes the bound before it raises, so a loose bound never sends a merge
+to dicts. Each step's operands stay below _COEFF_LIMIT, so no int64 value
+wraps.
 
 Division by a weight binomial t^m - t^(-m) is exact or fails (None). The
 sparse layout works line by line along the exponent direction 2m, and the
@@ -71,18 +80,13 @@ from math import prod
 
 import numpy as np
 
-from .exactalg import LaurentPoly, _kneg, _unpack, divide_exact
-from .exactalg import _LANE as _BIG_LANE, _OFF as _BIG_OFF, _SHIFTS as _BIG_SHIFTS
+from .exactalg import PACK_ZERO, LaurentPoly, _kneg, _unpack, divide_exact
+from .exactalg import _LANE as _BIG_LANE, _MASK as _BIG_MASK, _OFF as _BIG_OFF
+from .exactalg import _SHIFTS as _BIG_SHIFTS
 
-_LANE = 12
-_OFF = 1 << (_LANE - 1)
-_MASK = (1 << _LANE) - 1
-_SHIFTS = tuple(_LANE * (4 - i) for i in range(5))
-_ZERO = sum(_OFF << s for s in _SHIFTS)
-_EXP_LIMIT = _OFF - 64
-# A packed lane holds exactly the values -2048..2047.
-_LANE_MIN = -_OFF
-_LANE_MAX = _OFF - 1
+# The lanes a sum uses share this many key bits, so keys and keys +- a
+# weight offset stay far from the int64 limit.
+_KEY_BITS = 60
 # Every stored coefficient stays below 2^61. The only summations are
 # combines of two arrays with unique keys or two boxes (bounded by
 # 2 * 2^61 < 2^63) and the running sums inside division, which carry their
@@ -100,28 +104,72 @@ class FastSumUnavailable(Exception):
     """Raised when a numerator exceeds the safe ranges of the int64 layouts."""
 
 
+class _Packing:
+    """The key layout of one sum. Lane i takes bits[i] bits at shifts[i],
+    most significant lane first, and holds the values -offs[i]..offs[i] - 1;
+    a lane with no bits holds only 0. A weight binomial enters only if its
+    exponent in each lane lies within limits[i]. empty is the zero
+    numerator of this packing."""
+
+    __slots__ = ("bits", "shifts", "offs", "masks", "limits", "lane_min", "lane_max",
+                 "zero", "empty")
+
+    def __init__(self, bits):
+        self.bits = bits
+        top = sum(bits)
+        self.shifts = tuple(top - sum(bits[:i + 1]) for i in range(5))
+        self.offs = tuple(1 << (b - 1) if b else 0 for b in bits)
+        self.masks = tuple((1 << b) - 1 for b in bits)
+        self.limits = tuple(max(o - 64, 0) for o in self.offs)
+        self.lane_min = tuple(-o for o in self.offs)
+        self.lane_max = tuple(max(o - 1, 0) for o in self.offs)
+        self.zero = sum(o << s for o, s in zip(self.offs, self.shifts))
+        self.empty = _Sparse(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                             tuple(x + 1 for x in self.lane_max),
+                             tuple(x - 1 for x in self.lane_min), self)
+
+
+@lru_cache(maxsize=None)
+def _packing(used):
+    """The packing of a sum whose weights use the lanes in used (a tuple of
+    lane indices): those lanes share _KEY_BITS evenly, at most the big
+    packing's _BIG_LANE bits each, so _to_poly stays exact, and the others
+    get no bits. With all five lanes used, each has 12 bits."""
+    width = min(_KEY_BITS // len(used), _BIG_LANE) if used else 0
+    return _Packing(tuple(width if i in used else 0 for i in range(5)))
+
+
+def _sum_packing(fws):
+    """The packing of a sum of the factored weights fws."""
+    used = 0
+    for fw in fws:
+        for m in fw.fac:
+            used |= m ^ PACK_ZERO
+    return _packing(tuple(i for i, s in enumerate(_BIG_SHIFTS) if (used >> s) & _BIG_MASK))
+
+
 @lru_cache(maxsize=4096)
-def _small_from_big(kbig):
-    """Small-packed key of a big-packed one; raises FastSumUnavailable when
-    an exponent is beyond _EXP_LIMIT."""
+def _small_from_big(pk, kbig):
+    """Key in packing pk of a big-packed one; raises FastSumUnavailable when
+    an exponent is beyond its lane's limit."""
     e = _unpack(kbig)
-    if any(abs(x) > _EXP_LIMIT for x in e):
+    if any(abs(x) > lim for x, lim in zip(e, pk.limits)):
         raise FastSumUnavailable("exponent out of range")
     k = 0
-    for x, s in zip(e, _SHIFTS):
-        k += (x + _OFF) << s
+    for x, o, s in zip(e, pk.offs, pk.shifts):
+        k += (x + o) << s
     return k
 
 
 @lru_cache(maxsize=4096)
-def _lane_vec(m):
-    """Lane values of a small-packed key."""
-    return tuple(((m >> s) & _MASK) - _OFF for s in _SHIFTS)
+def _lane_vec(pk, m):
+    """Lane values of a key in packing pk."""
+    return tuple(((m >> s) & k) - o for s, k, o in zip(pk.shifts, pk.masks, pk.offs))
 
 
-def _lanes(keys):
-    """(5, n) lane values of small-packed keys."""
-    return np.stack([((keys >> s) & _MASK) - _OFF for s in _SHIFTS])
+def _lanes(pk, keys):
+    """(5, n) lane values of keys in packing pk."""
+    return np.stack([((keys >> s) & k) - o for s, k, o in zip(pk.shifts, pk.masks, pk.offs)])
 
 
 def _check_coeffs(coeffs):
@@ -129,8 +177,12 @@ def _check_coeffs(coeffs):
         raise FastSumUnavailable("coefficient out of range")
 
 
-def _check_lanes(lo, hi):
-    if min(lo) < _LANE_MIN or max(hi) > _LANE_MAX:
+def _out_of_lanes(pk, lo, hi):
+    return any(x < a or y > b for x, y, a, b in zip(lo, hi, pk.lane_min, pk.lane_max))
+
+
+def _check_lanes(pk, lo, hi):
+    if _out_of_lanes(pk, lo, hi):
         raise FastSumUnavailable("exponent out of lane range")
 
 
@@ -138,24 +190,21 @@ def _check_lanes(lo, hi):
 
 
 class _Sparse:
-    """Sorted unique packed keys, nonzero coefficients, and per-lane bounds:
-    every term has lo <= lane value <= hi. The bounds may be loose, and with
-    no terms lo > hi."""
+    """Sorted unique keys in packing pk, nonzero coefficients, and per-lane
+    bounds: every term has lo <= lane value <= hi. The bounds may be loose,
+    and with no terms lo > hi."""
 
-    __slots__ = ("keys", "coeffs", "lo", "hi")
+    __slots__ = ("keys", "coeffs", "lo", "hi", "pk")
 
-    def __init__(self, keys, coeffs, lo, hi):
+    def __init__(self, keys, coeffs, lo, hi, pk):
         self.keys = keys
         self.coeffs = coeffs
         self.lo = lo
         self.hi = hi
+        self.pk = pk
 
     def is_zero(self):
         return self.keys.size == 0
-
-
-_EMPTY = _Sparse(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                 (_OFF,) * 5, (-_OFF - 1,) * 5)
 
 
 def _dedupe(keys, coeffs):
@@ -179,28 +228,29 @@ def _dedupe(keys, coeffs):
 def _add(a, b):
     keys, coeffs = _dedupe(np.concatenate((a.keys, b.keys)),
                            np.concatenate((a.coeffs, b.coeffs)))
-    return _Sparse(keys, coeffs, tuple(map(min, a.lo, b.lo)), tuple(map(max, a.hi, b.hi)))
+    return _Sparse(keys, coeffs, tuple(map(min, a.lo, b.lo)), tuple(map(max, a.hi, b.hi)), a.pk)
 
 
 def _mul_binomial(arr, m):
-    """arr * (t^m - t^(-m)) for a small-packed key m."""
+    """arr * (t^m - t^(-m)) for a key m in arr's packing."""
     if arr.is_zero():
         return arr
-    am = [abs(x) for x in _lane_vec(m)]
+    pk = arr.pk
+    am = [abs(x) for x in _lane_vec(pk, m)]
     lo = tuple(x - a for x, a in zip(arr.lo, am))
     hi = tuple(x + a for x, a in zip(arr.hi, am))
-    if min(lo) < _LANE_MIN or max(hi) > _LANE_MAX:
-        lanes = _lanes(arr.keys)
+    if _out_of_lanes(pk, lo, hi):
+        lanes = _lanes(pk, arr.keys)
         lo = tuple(int(x) - a for x, a in zip(lanes.min(axis=1), am))
         hi = tuple(int(x) + a for x, a in zip(lanes.max(axis=1), am))
-        _check_lanes(lo, hi)
+        _check_lanes(pk, lo, hi)
     keys, coeffs = arr.keys, arr.coeffs
-    d = m - _ZERO
+    d = m - pk.zero
     keys, coeffs = _dedupe(
         np.concatenate((keys + d, keys - d)),
         np.concatenate((coeffs, -coeffs)),
     )
-    return _Sparse(keys, coeffs, lo, hi)
+    return _Sparse(keys, coeffs, lo, hi, pk)
 
 
 def _lead(mv):
@@ -211,16 +261,16 @@ def _lead(mv):
     raise ValueError("trivial weight direction")
 
 
-def _line_keys_collide(lo, hi, mv, lead):
+def _line_keys_collide(pk, lo, hi, mv, lead):
     """Whether two lines along m could get the same key in _divide_binomial.
 
-    A line is keyed by the packed form of its point whose leading lane lies
-    in [0, 2 m_lead); distinct points pack to distinct keys while each of
-    their other lanes spans at most 2^12 - 1 values."""
+    A line is keyed by the packed form (packing pk) of its point whose
+    leading lane lies in [0, 2 m_lead); distinct points pack to distinct
+    keys while each of their other lanes spans at most that lane's mask."""
     step = 2 * mv[lead]
     jspan = abs((hi[lead] + mv[lead]) // step - (lo[lead] + mv[lead]) // step)
-    return any(h - x + 2 * abs(y) * jspan > _MASK
-               for i, (x, h, y) in enumerate(zip(lo, hi, mv)) if i != lead)
+    return any(h - x + 2 * abs(y) * jspan > k
+               for i, (x, h, y, k) in enumerate(zip(lo, hi, mv, pk.masks)) if i != lead)
 
 
 # Odd multipliers of the splitmix64 finalizer, the line-key mix of _line_hash.
@@ -252,29 +302,29 @@ def _divide_binomial(arr, m):
     every weight so), so the sorted keys of arr run along each line in
     order and one stable sort by line key groups them.
     """
-    keys, coeffs = arr.keys, arr.coeffs
+    keys, coeffs, pk = arr.keys, arr.coeffs, arr.pk
     if keys.size == 0:
         return arr
-    mv = _lane_vec(m)
-    d = m - _ZERO
+    mv = _lane_vec(pk, m)
+    d = m - pk.zero
     mu = 2 * d
     lead = _lead(mv)
     halfstep = mv[lead]
     if halfstep < 0:
         raise ValueError("weight key %r has a negative leading lane" % (mv,))
     step = 2 * halfstep
-    if _line_keys_collide(arr.lo, arr.hi, mv, lead):
-        lanes = _lanes(keys)
+    if _line_keys_collide(pk, arr.lo, arr.hi, mv, lead):
+        lanes = _lanes(pk, keys)
         arr.lo = tuple(lanes.min(axis=1).tolist())
         arr.hi = tuple(lanes.max(axis=1).tolist())
-        if _line_keys_collide(arr.lo, arr.hi, mv, lead):
+        if _line_keys_collide(pk, arr.lo, arr.hi, mv, lead):
             raise FastSumUnavailable("exponent out of lane range")
     n = keys.size
     max_abs = _max_abs(coeffs)
     if max_abs and n > _SUM_LIMIT // max_abs:
         raise FastSumUnavailable("line sums could overflow")
-    lane = (keys >> _SHIFTS[lead]) & _MASK
-    lane += halfstep - _OFF
+    lane = (keys >> pk.shifts[lead]) & pk.masks[lead]
+    lane += halfstep - pk.offs[lead]
     j = lane // step
     base = j * -mu
     base += keys
@@ -321,7 +371,7 @@ def _divide_binomial(arr, m):
     order = np.argsort(keys_out)
     am = [abs(x) for x in mv]
     return _Sparse(keys_out[order], qnz[order], tuple(x + a for x, a in zip(arr.lo, am)),
-                   tuple(x - a for x, a in zip(arr.hi, am)))
+                   tuple(x - a for x, a in zip(arr.hi, am)), pk)
 
 
 # -- dense layout -------------------------------------------------------------
@@ -330,14 +380,16 @@ def _divide_binomial(arr, m):
 class _Dense:
     """Coefficient of the monomial with lane values origin + 2 * index at
     arr[index]. The box is tight: every face holds a nonzero coefficient.
-    bound is at least max |coeff| and below _COEFF_LIMIT."""
+    bound is at least max |coeff| and below _COEFF_LIMIT. pk is the packing
+    of the sum; the dense steps themselves use lane values only."""
 
-    __slots__ = ("origin", "arr", "bound")
+    __slots__ = ("origin", "arr", "bound", "pk")
 
-    def __init__(self, origin, arr, bound):
+    def __init__(self, origin, arr, bound, pk):
         self.origin = origin
         self.arr = arr
         self.bound = bound
+        self.pk = pk
 
     def is_zero(self):
         return False
@@ -366,8 +418,8 @@ def _gated(arr, bound):
     return bound
 
 
-def _trim(origin, arr, bound):
-    """Dense numerator over the support of arr, or _EMPTY."""
+def _trim(origin, arr, bound, pk):
+    """Dense numerator over the support of arr, or pk's empty one."""
     cut = []
     for ax in range(5):
         lo, hi = 0, arr.shape[ax]
@@ -375,24 +427,25 @@ def _trim(origin, arr, bound):
         while lo < hi and not view[lo].any():
             lo += 1
         if lo == hi:
-            return _EMPTY
+            return pk.empty
         while not view[hi - 1].any():
             hi -= 1
         cut.append(slice(lo, hi))
         arr = np.moveaxis(view[lo:hi], 0, ax)
-    return _Dense(tuple(o + 2 * c.start for o, c in zip(origin, cut)), arr, bound)
+    return _Dense(tuple(o + 2 * c.start for o, c in zip(origin, cut)), arr, bound, pk)
 
 
 def _growth(grow):
-    """Cells per lane by which the binomials (m, e) of grow widen a box."""
+    """Cells per lane by which the binomials (mv, e) of grow, mv a lane
+    vector, widen a box."""
     g = [0] * 5
-    for m, e in grow:
-        g = [x + e * abs(y) for x, y in zip(g, _lane_vec(m))]
+    for mv, e in grow:
+        g = [x + e * abs(y) for x, y in zip(g, mv)]
     return g
 
 
 def _grow_into(out, dn, grow):
-    """Write dn times the binomials (m, e) of grow into out, a zeroed box of
+    """Write dn times the binomials (mv, e) of grow into out, a zeroed box of
     the product's shape, and return the product's coefficient bound.
 
     Each binomial is applied in place. With f in the region R of out,
@@ -401,13 +454,12 @@ def _grow_into(out, dn, grow):
     buffers the overlap. dn starts where the last binomial ends at the
     corner of out."""
     start = [0] * 5
-    for m, e in grow:
-        start = [x + e * max(y, 0) for x, y in zip(start, _lane_vec(m))]
+    for mv, e in grow:
+        start = [x + e * max(y, 0) for x, y in zip(start, mv)]
     shape = dn.arr.shape
     out[_box(start, shape)] = dn.arr
     bound = dn.bound
-    for m, e in grow:
-        mv = _lane_vec(m)
+    for mv, e in grow:
         for _ in range(e):
             src = out[_box(start, shape)]
             start = [x - y for x, y in zip(start, mv)]
@@ -442,7 +494,7 @@ def _dense_sum(a, grow_a, b, grow_b):
         arr_b, bound_b = b.arr, b.bound
     view = out[_box([(x - y) // 2 for x, y in zip(lo_b, lo)], shape_b)]
     np.add(view, arr_b, out=view)
-    return _trim(lo, out, _gated(out, bound_a + bound_b))
+    return _trim(lo, out, _gated(out, bound_a + bound_b), a.pk)
 
 
 def _line_sums_vanish(f, mv):
@@ -493,8 +545,9 @@ def _line_sums_vanish(f, mv):
     return not acc.any()
 
 
-def _dense_divide(dn, m):
-    """Exact quotient dn / (t^m - t^(-m)), or None.
+def _dense_divide(dn, mv):
+    """Exact quotient dn / (t^m - t^(-m)) for the lane vector mv of m, or
+    None.
 
     A nonzero line sum along m rejects the division with no box-sized
     write. A line holds at most runs cells, so once the prefix-sum guard
@@ -506,7 +559,6 @@ def _dense_divide(dn, m):
     shrunk by |m|. The sweep runs along the leading lane L of m, |m_L|
     slabs per step (for m_L < 0 it divides by t^(-m) - t^m and negates).
     """
-    mv = _lane_vec(m)
     f = dn.arr
     shape = f.shape
     if any(abs(x) >= n for x, n in zip(mv, shape)) or not _line_sums_vanish(f, mv):
@@ -532,7 +584,7 @@ def _dense_divide(dn, m):
         np.add(d, r[tuple(src)], out=d)
     q = r[tuple(slice(max(-x, 0), max(-x, 0) + n - abs(x)) for x, n in zip(mv, shape))]
     return _Dense(tuple(o + abs(x) for o, x in zip(dn.origin, mv)), q,
-                  _gated(q, runs * dn.bound))
+                  _gated(q, runs * dn.bound), dn.pk)
 
 
 # -- layout choice and conversions ----------------------------------------------
@@ -542,13 +594,13 @@ def _shares_parity(arr):
     """Whether all terms of a numerator have the same parity in each lane."""
     if isinstance(arr, _Dense):
         return True
-    lanes = _lanes(arr.keys)
+    lanes = _lanes(arr.pk, arr.keys)
     return not ((lanes - lanes[:, :1]) & 1).any()
 
 
 def _goes_dense(a, grow_a, b, grow_b):
     """Whether the sum of a and b, each times its catch-up binomials
-    (m, e), fits the dense layout. A sparse operand's box comes from its
+    (mv, e), fits the dense layout. A sparse operand's box comes from its
     carried bounds, which are loose only where an add cancelled terms at
     the edge of the box."""
     if a.is_zero() or b.is_zero():
@@ -579,24 +631,25 @@ def _to_dense(arr):
     same parity in each lane across its terms."""
     if isinstance(arr, _Dense):
         return arr
-    lanes = _lanes(arr.keys)
+    lanes = _lanes(arr.pk, arr.keys)
     lo = lanes.min(axis=1)
     idx = (lanes - lo[:, None]) >> 1
     out = np.zeros(tuple(idx.max(axis=1) + 1), dtype=np.int64)
     out[tuple(idx)] = arr.coeffs
-    return _Dense(tuple(lo.tolist()), out, _max_abs(arr.coeffs))
+    return _Dense(tuple(lo.tolist()), out, _max_abs(arr.coeffs), arr.pk)
 
 
 def _to_sparse(arr):
     if not isinstance(arr, _Dense):
         return arr
+    pk = arr.pk
     lo, hi = arr.origin, arr.top()
-    _check_lanes(lo, hi)
+    _check_lanes(pk, lo, hi)
     idx = np.nonzero(arr.arr)
-    keys = np.full(idx[0].size, _ZERO, dtype=np.int64)
-    for i, o, s in zip(idx, lo, _SHIFTS):
+    keys = np.full(idx[0].size, pk.zero, dtype=np.int64)
+    for i, o, s in zip(idx, lo, pk.shifts):
         keys += (o + 2 * i) << s
-    return _Sparse(keys, arr.arr[idx], lo, hi)
+    return _Sparse(keys, arr.arr[idx], lo, hi, pk)
 
 
 def _to_poly(arr):
@@ -608,7 +661,7 @@ def _to_poly(arr):
         lanes = [o + 2 * i for o, i in zip(arr.origin, idx)]
         coeffs = arr.arr[idx]
     else:
-        lanes = list(_lanes(arr.keys))
+        lanes = list(_lanes(arr.pk, arr.keys))
         coeffs = arr.coeffs
     # A big key has five 24-bit lanes: lanes 0-1 and lanes 3-4 are packed
     # in int64, and only the three parts are joined as Python ints.
@@ -639,9 +692,10 @@ def _divide(arr, m):
     """Exact quotient arr / (t^m - t^(-m)) for a big-packed key m, or None."""
     if isinstance(arr, LaurentPoly):
         return divide_exact(arr, _half_binomial(m))
+    k = _small_from_big(arr.pk, m)
     if isinstance(arr, _Dense):
-        return _dense_divide(arr, _small_from_big(m))
-    return _divide_binomial(arr, _small_from_big(m))
+        return _dense_divide(arr, _lane_vec(arr.pk, k))
+    return _divide_binomial(arr, k)
 
 
 # -- merge tree ---------------------------------------------------------------
@@ -683,10 +737,13 @@ def _int64_add(arr_a, grow_a, arr_b, grow_b):
     """arr_a * grow_a + arr_b * grow_b in the dense or the sparse layout."""
     if isinstance(arr_a, LaurentPoly) or isinstance(arr_b, LaurentPoly):
         raise FastSumUnavailable("dict operand")
-    grow_a = [(_small_from_big(m), e) for m, e in grow_a]
-    grow_b = [(_small_from_big(m), e) for m, e in grow_b]
-    if _goes_dense(arr_a, grow_a, arr_b, grow_b):
-        return _dense_sum(_to_dense(arr_a), grow_a, _to_dense(arr_b), grow_b)
+    pk = arr_a.pk
+    grow_a = [(_small_from_big(pk, m), e) for m, e in grow_a]
+    grow_b = [(_small_from_big(pk, m), e) for m, e in grow_b]
+    vec_a = [(_lane_vec(pk, m), e) for m, e in grow_a]
+    vec_b = [(_lane_vec(pk, m), e) for m, e in grow_b]
+    if _goes_dense(arr_a, vec_a, arr_b, vec_b):
+        return _dense_sum(_to_dense(arr_a), vec_a, _to_dense(arr_b), vec_b)
     return _add(_grow(_to_sparse(arr_a), grow_a, _mul_binomial),
                 _grow(_to_sparse(arr_b), grow_b, _mul_binomial))
 
@@ -720,9 +777,9 @@ def _pair_add(a, b, full=False):
     return _pair_reduce(total, lcm, None if full else candidates)
 
 
-def _leaf(fw):
+def _leaf(fw, pk):
     """FactoredWeight -> (numerator, denominator dict). The numerator is
-    sparse, or a dict when a factor leaves the lanes."""
+    sparse in packing pk, or a dict when a factor leaves its lanes."""
     grow = []
     den = {}
     for m, e in sorted(fw.fac.items()):
@@ -732,10 +789,10 @@ def _leaf(fw):
             den[m] = -e
     try:
         for m in den:
-            _small_from_big(m)  # raises when a denominator factor leaves the lanes
-        one = _Sparse(np.array([_ZERO], dtype=np.int64),
-                      np.array([fw.sign], dtype=np.int64), (0,) * 5, (0,) * 5)
-        arr = _grow(one, [(_small_from_big(m), e) for m, e in grow], _mul_binomial)
+            _small_from_big(pk, m)  # raises when a denominator factor leaves the lanes
+        one = _Sparse(np.array([pk.zero], dtype=np.int64),
+                      np.array([fw.sign], dtype=np.int64), (0,) * 5, (0,) * 5, pk)
+        arr = _grow(one, [(_small_from_big(pk, m), e) for m, e in grow], _mul_binomial)
     except FastSumUnavailable:
         arr = _grow(LaurentPoly.const(fw.sign), grow, _poly_mul)
     return arr, den
@@ -752,7 +809,8 @@ def sum_factored(fws):
     """
     if not fws:
         return LaurentPoly.zero(), {}
-    pairs = [_leaf(fw) for fw in fws]
+    pk = _sum_packing(fws)
+    pairs = [_leaf(fw, pk) for fw in fws]
     while len(pairs) > 1:
         top = len(pairs) == 2
         merged = []

@@ -7,6 +7,7 @@ performance figures as they happen.
 
 import itertools
 import json
+import os
 import time
 
 import pytest
@@ -219,3 +220,21 @@ def test_criterion_13_performance_floor(dt0_through_8):
         "Q^8 single-threaded in %.0fs (< 300s); jobs=2 identical, %.1fs vs %.1fs single"
         % (seconds, par_time, ser_time),
     )
+
+
+def test_benchmark_reference_digests(dt0_through_8, monkeypatch):
+    # The benchmark compares the bytes of each coefficient's JSON with
+    # perfbench/reference.json; a change to those bytes (the value may stay
+    # equal, e.g. a reduced fraction printed another way) must show here.
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    import workloads
+
+    with open(os.path.join(perfbench, "reference.json")) as f:
+        reference = json.load(f)
+    series, _ = dt0_through_8
+    ops = (workloads.series_ops("dt0", series, range(7))
+           + workloads.series_ops("quot2", quot2_vertex_series(3, jobs=1), range(4)))
+    got = {op: digest for op, ok, _, digest in ops if ok}
+    assert got == {op: reference[op] for op, *_ in ops}

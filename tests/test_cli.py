@@ -33,6 +33,19 @@ def test_usage_errors_exit_2():
     assert run_cli("dt-vertex", "--order", "1", "--bogus-flag").returncode == 2
 
 
+def test_order_floor_is_the_minimal_volume():
+    # legged series start at the legs' minimal volume, which may be negative
+    for cmd in ("dt-vertex", "pt-vertex"):
+        proc = run_cli(cmd, "--legs", "1;1;", "--order", "-1", "--jobs", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert [c["power"] for c in json.loads(proc.stdout)["coefficients"]] == [-1]
+    proc = run_cli("dt-vertex", "--legs", "1;1;1", "--order", "-3", "--jobs", "1")
+    assert proc.returncode == 2
+    assert "order must be at least -2, the minimal volume" in proc.stderr
+    proc = run_cli("dt-vertex", "--order", "-1")
+    assert proc.returncode == 2 and "order must be nonnegative" in proc.stderr
+
+
 def test_dt_vertex_json_deterministic(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

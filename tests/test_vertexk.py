@@ -297,7 +297,7 @@ def test_int64_layouts_match_dict_layout(monkeypatch):
         layouts.add(type(arr).__name__)
         return pair_reduce(arr, *args)
 
-    def unavailable(kbig):
+    def unavailable(pk, kbig):
         raise fastsum.FastSumUnavailable("dict layout forced")
 
     def framing(*exps):
@@ -308,15 +308,18 @@ def test_int64_layouts_match_dict_layout(monkeypatch):
         [list(enumerate_configs((), (), (), n)) for n in range(6)]
         + [list(enumerate_configs((1,), (), (), n)) for n in range(4)]
     )
-    weights = [[vk.factored_weight(vertex_character(c)) for c in configs] for configs in cases]
-    framings = [framing(*e) for e in ((5, 3, -2), (500, 3, -2), (1000, 3, -2), (2000, 3, -2))]
-    for fr in [None] + framings:
-        weights += [_quot_weights(m, fr) for m in range(3)]
+    weights = [(None, [vk.factored_weight(vertex_character(c)) for c in configs])
+               for configs in cases]
+    exps = [None, (5, 3, -2), (500, 3, -2), (2241, 4, -2), (100001, 3, -2), (300001, 3, -2),
+            (600001, 3, -2)]
+    weights += [(e, _quot_weights(m, e and framing(*e))) for e in exps for m in range(3)]
     seen = []
-    for fws in weights:
+    by_framing = {}
+    for e, fws in weights:
         layouts.clear()
         fast = fastsum.sum_factored(fws)
         seen.append(frozenset(layouts))
+        by_framing.setdefault(e, set()).update(layouts)
         with monkeypatch.context() as mp:
             mp.setattr(fastsum, "_small_from_big", unavailable)
             layouts.clear()
@@ -326,8 +329,8 @@ def test_int64_layouts_match_dict_layout(monkeypatch):
         assert fast[0] == exact[0] and fast[1] == exact[1]
     # some sums merge only densely (0-leg), some only sparsely (quot2
     # symbolic), some mix the two int64 layouts (framing t^(5,3,-2)), some
-    # mix sparse and dict merges (framing t^(500,3,-2) at m=2), and some
-    # merge only on dicts (t^(1000,3,-2) and t^(2000,3,-2) at m=2)
+    # mix sparse and dict merges (framing t^(100001,3,-2) at m=2), and some
+    # merge only on dicts (t^(300001,3,-2) at m=2, t^(600001,3,-2) at m=1, 2)
     assert {
         frozenset({"_Dense"}),
         frozenset({"_Sparse"}),
@@ -335,48 +338,62 @@ def test_int64_layouts_match_dict_layout(monkeypatch):
     } <= set(seen)
     assert frozenset({"_Sparse", "LaurentPoly"}) in seen
     assert frozenset({"LaurentPoly"}) in seen
+    # framings in t1-t3 get 20-bit lanes: these stay in int64
+    assert "LaurentPoly" not in by_framing[(500, 3, -2)] | by_framing[(2241, 4, -2)]
 
 
 def _numerator(*factors):
-    """Sparse fastsum numerator of prod (t^m - t^(-m))^e over (m, e)."""
+    """Sparse fastsum numerator of prod (t^m - t^(-m))^e over (m, e), in
+    five 12-bit lanes."""
     from kvertex import fastsum
     from kvertex.exactalg import _pack
     from kvertex.vertexk import FactoredWeight
 
     fw = FactoredWeight(1, {_pack(m): e for m, e in factors})
-    return fastsum._leaf(fw)[0]
+    return fastsum._leaf(fw, _pk5())[0]
+
+
+def _pk5():
+    """The packing of a sum that uses all five lanes: 12 bits each."""
+    from kvertex import fastsum
+
+    return fastsum._packing(tuple(range(5)))
+
+
+def _key(m):
+    """Key of the lane vector m in five 12-bit lanes."""
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+
+    return fastsum._small_from_big(_pk5(), _pack(m))
 
 
 def test_dense_division_matches_sparse_division():
     from kvertex import fastsum
-    from kvertex.exactalg import _pack
 
     directions = [(1, -1, 0, 0, 0), (2, 1, -1, 0, 0), (0, 0, 1, -1, 2), (3, 0, 0, 0, 0)]
     others = [(1, 2, 0, 0, 0), (0, 1, 1, 0, 0), (1, 0, -2, 1, 0)]
     for m in directions:
-        key = fastsum._small_from_big(_pack(m))
         prod = _numerator((m, 2), *[(o, 1) for o in others])
         dense = fastsum._to_dense(prod)
-        q_dense = fastsum._dense_divide(dense, key)
-        q_sparse = fastsum._divide_binomial(prod, key)
+        q_dense = fastsum._dense_divide(dense, m)
+        q_sparse = fastsum._divide_binomial(prod, _key(m))
         assert q_dense is not None and q_sparse is not None
         assert fastsum._to_poly(q_dense) == fastsum._to_poly(q_sparse)
         once = _numerator((m, 1), *[(o, 1) for o in others])
         assert fastsum._to_poly(q_dense) == fastsum._to_poly(once)
         # without the factor, neither layout divides
         rest = _numerator(*[(o, 1) for o in others])
-        assert fastsum._dense_divide(fastsum._to_dense(rest), key) is None
-        assert fastsum._divide_binomial(rest, key) is None
+        assert fastsum._dense_divide(fastsum._to_dense(rest), m) is None
+        assert fastsum._divide_binomial(rest, _key(m)) is None
 
 
 def test_sparse_lanes_never_carry():
     from kvertex import fastsum
-    from kvertex.exactalg import _pack
 
-    m = fastsum._small_from_big(_pack((1900, 0, 0, 0, 0)))
     one = _numerator(((1900, 0, 0, 0, 0), 1))
     with pytest.raises(fastsum.FastSumUnavailable):
-        fastsum._mul_binomial(one, m)
+        fastsum._mul_binomial(one, _key((1900, 0, 0, 0, 0)))
 
 
 def test_sparse_division_never_merges_lines():
@@ -385,13 +402,12 @@ def test_sparse_division_never_merges_lines():
     import numpy as np
 
     from kvertex import fastsum
-    from kvertex.exactalg import _pack
 
     m, p, q = (1, 40, 0, 0, 0), (-1899, 40, 0, 0, 0), (-1842, -1816, 0, 0, 0)
-    keys = np.array([fastsum._small_from_big(_pack(x)) for x in (p, q)])
-    f = fastsum._Sparse(keys, np.array([1, -1]), (-2048,) * 5, (2047,) * 5)
+    keys = np.array([_key(x) for x in (p, q)])
+    f = fastsum._Sparse(keys, np.array([1, -1]), (-2048,) * 5, (2047,) * 5, _pk5())
     with pytest.raises(fastsum.FastSumUnavailable):
-        fastsum._divide_binomial(f, fastsum._small_from_big(_pack(m)))
+        fastsum._divide_binomial(f, _key(m))
 
 
 def test_division_beyond_lanes_is_redone_on_dicts():
@@ -404,24 +420,98 @@ def test_division_beyond_lanes_is_redone_on_dicts():
     key = _pack(m)
     f = _numerator((m, 1), (a, 1), (b, 1))
     with pytest.raises(fastsum.FastSumUnavailable):
-        fastsum._divide_binomial(f, fastsum._small_from_big(key))
+        fastsum._divide_binomial(f, _key(m))
     q, den = fastsum._pair_reduce(f, {key: 2})
     assert isinstance(q, LaurentPoly) and den == {key: 1}
     assert q == fastsum._to_poly(_numerator((a, 1), (b, 1)))
 
 
-def _sparse(*terms):
-    """Sparse fastsum numerator from (coefficient, lane exponents) terms."""
-    import numpy as np
-
+def test_five_lane_sums_keep_twelve_bit_keys():
+    # A sum whose weights use all five lanes (symbolic quot2) packs its keys
+    # in five 12-bit lanes, as the hand-built keys of the lane-limit tests
+    # above assume; 0-leg weights use t1-t3 only and get 20-bit lanes.
+    import kvertex.vertexk as vk
     from kvertex import fastsum
     from kvertex.exactalg import _pack
 
-    terms = sorted((fastsum._small_from_big(_pack(e)), c) for c, e in terms)
-    lanes = list(zip(*[fastsum._lane_vec(k) for k, _ in terms]))
+    pk = fastsum._sum_packing(_quot_weights(2))
+    assert pk is _pk5() and pk.bits == (12,) * 5
+    for e in ((0,) * 5, (1900, -3, 0, 7, -1984), (-1984, 1984, 1, -1, 0)):
+        old = sum((x + 2048) << (12 * (4 - i)) for i, x in enumerate(e))
+        assert fastsum._small_from_big(pk, _pack(e)) == old
+    zero_leg = [vk.factored_weight(vertex_character(c)) for c in enumerate_configs((), (), (), 3)]
+    assert fastsum._sum_packing(zero_leg).bits == (20, 20, 20, 0, 0)
+
+
+def test_used_lanes_share_sixty_bits_up_to_the_big_lane():
+    # Each packing fits int64 with room for key +- offset, and no lane is
+    # wider than the big packing's, so conversion to a dict stays exact: a
+    # product that passes the big lane raises instead of wrapping.
+    import numpy as np
+
+    from kvertex import fastsum
+    from kvertex.exactalg import _OFF as BIG_OFF
+    from kvertex.exactalg import _pack
+
+    for k in range(1, 6):
+        for used in itertools.combinations(range(5), k):
+            pk = fastsum._packing(used)
+            width = min(60 // k, 24)
+            assert pk.bits == tuple(width if i in used else 0 for i in range(5))
+            assert sum(pk.bits) <= 60 and max(pk.lane_max) < BIG_OFF
+    pk = fastsum._packing((0,))
+    m = fastsum._small_from_big(pk, _pack((2 ** 22, 0, 0, 0, 0)))
+    one = fastsum._mul_binomial(fastsum._Sparse(np.array([pk.zero]), np.array([1]), (0,) * 5,
+                                                (0,) * 5, pk), m)
+    with pytest.raises(fastsum.FastSumUnavailable):
+        fastsum._mul_binomial(one, m)
+
+
+def test_lane_limits_are_per_lane():
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+
+    pk = fastsum._packing((0, 1, 2))
+    lim = (1 << 19) - 64
+    e = (lim, -lim, 1, 0, 0)
+    assert fastsum._lane_vec(pk, fastsum._small_from_big(pk, _pack(e))) == e
+    for e in ((lim + 1, 0, 0, 0, 0), (0, 0, -lim - 1, 0, 0), (0, 0, 0, 1, 0)):
+        with pytest.raises(fastsum.FastSumUnavailable):
+            fastsum._small_from_big(pk, _pack(e))
+    # a line spans at most each lane's mask before two lines could share a key
+    mv, top = (1, 0, 1, 0, 0), (1 << 20) - 1
+    assert not fastsum._line_keys_collide(pk, (0,) * 5, (0, top, top, 0, 0), mv, 0)
+    assert fastsum._line_keys_collide(pk, (0,) * 5, (0, 0, top + 1, 0, 0), mv, 0)
+    assert fastsum._line_keys_collide(pk, (0,) * 5, (0, top + 1, 0, 0, 0), mv, 0)
+
+
+def test_lane_caches_are_per_packing():
+    # One big key packs to a different int under each packing, and one int
+    # decodes differently under each: the caches must tell them apart.
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+
+    e = (3, -2, 1, 0, 0)
+    packings = [fastsum._packing(used) for used in ((0, 1, 2), tuple(range(5)), (0, 1, 2, 3))]
+    for pk in packings + packings:
+        assert fastsum._lane_vec(pk, fastsum._small_from_big(pk, _pack(e))) == e
+    k = _key(e)
+    assert fastsum._lane_vec(_pk5(), k) == e
+    assert fastsum._lane_vec(packings[0], k) != e
+
+
+def _sparse(*terms):
+    """Sparse fastsum numerator from (coefficient, lane exponents) terms, in
+    five 12-bit lanes."""
+    import numpy as np
+
+    from kvertex import fastsum
+
+    terms = sorted((_key(e), c) for c, e in terms)
+    lanes = list(zip(*[fastsum._lane_vec(_pk5(), k) for k, _ in terms]))
     return fastsum._Sparse(np.array([k for k, _ in terms], dtype=np.int64),
                            np.array([c for _, c in terms], dtype=np.int64),
-                           tuple(map(min, lanes)), tuple(map(max, lanes)))
+                           tuple(map(min, lanes)), tuple(map(max, lanes)), _pk5())
 
 
 def _sparse_division_cases():
@@ -471,7 +561,7 @@ def _check_sparse_division(cases):
     for f, m, divisible in cases:
         want = divide_exact(fastsum._to_poly(f), fastsum._half_binomial(_pack(m)))
         assert (want is not None) == divisible
-        got = fastsum._divide_binomial(f, fastsum._small_from_big(_pack(m)))
+        got = fastsum._divide_binomial(f, _key(m))
         if not divisible:
             assert got is None
             continue
@@ -494,11 +584,10 @@ def test_sparse_division_exact_check_without_hash_filter(monkeypatch):
 
 def test_sparse_division_rejects_negative_leading_lane():
     from kvertex import fastsum
-    from kvertex.exactalg import _pack
 
     f = _numerator(((1, 2, 0, 0, 0), 1))
     with pytest.raises(ValueError, match=r"\(-1, 2, 0, 0, 0\) has a negative leading lane"):
-        fastsum._divide_binomial(f, fastsum._small_from_big(_pack((-1, 2, 0, 0, 0))))
+        fastsum._divide_binomial(f, _key((-1, 2, 0, 0, 0)))
 
 
 def _quotient_case(c):
@@ -528,8 +617,7 @@ def test_coefficient_limit_guard_redoes_steps_on_dicts():
         b = _sparse((1, (1, 0, 0, 0, 0)),)
         want = fastsum._poly_mul(fastsum._to_poly(a), key) + fastsum._to_poly(b)
         for x, grow_x, y, grow_y in ((a, [(key, 1)], b, []), (b, [], a, [(key, 1)])):
-            assert fastsum._goes_dense(x, [(fastsum._small_from_big(k), e) for k, e in grow_x],
-                                       y, [(fastsum._small_from_big(k), e) for k, e in grow_y])
+            assert fastsum._goes_dense(x, [(m, e) for _, e in grow_x], y, [(m, e) for _, e in grow_y])
             if reaches:
                 with pytest.raises(fastsum.FastSumUnavailable):
                     fastsum._int64_add(x, grow_x, y, grow_y)
@@ -550,7 +638,7 @@ def test_coefficient_limit_guard_redoes_steps_on_dicts():
         dense = fastsum._to_dense(f)
         if reaches:
             with pytest.raises(fastsum.FastSumUnavailable):
-                fastsum._dense_divide(dense, fastsum._small_from_big(_pack(m)))
+                fastsum._dense_divide(dense, m)
         num, den = fastsum._pair_reduce(dense, {_pack(m): 1})
         assert isinstance(num, LaurentPoly) == reaches
         assert fastsum._to_poly(num) == q and den == {}
@@ -572,14 +660,13 @@ def test_dense_bound_covers_coefficients():
 
     def product(scale, factors):
         fw = _numerator(*[(m, factors.count(m)) for m in set(factors)])
-        return fastsum._Sparse(fw.keys, scale * fw.coeffs, fw.lo, fw.hi)
+        return fastsum._Sparse(fw.keys, scale * fw.coeffs, fw.lo, fw.hi, fw.pk)
 
-    def grow(factors, key=lambda m: fastsum._small_from_big(_pack(m))):
+    def grow(factors, key=lambda m: m):
         return [(key(m), factors.count(m)) for m in set(factors)]
 
     f, m, q = _quotient_case(3)
-    assert fastsum._to_poly(bounded(fastsum._dense_divide(
-        bounded(fastsum._to_dense(f)), fastsum._small_from_big(_pack(m))))) == q
+    assert fastsum._to_poly(bounded(fastsum._dense_divide(bounded(fastsum._to_dense(f)), m))) == q
     rng = random.Random(5)
     dirs = [m + (0, 0) for m in itertools.product(range(-2, 3), repeat=3) if m > (0, 0, 0)]
     for _ in range(40):
@@ -602,12 +689,11 @@ def test_dense_bound_covers_coefficients():
                 continue
             assert fastsum._to_poly(bounded(total)) == want
             for m in set(common + xs + ys):
-                key = fastsum._small_from_big(_pack(m))
-                q = fastsum._dense_divide(total, key)
+                q = fastsum._dense_divide(total, m)
                 exact = fastsum._divide(want, _pack(m))
                 assert (q is None) == (exact is None)
-                if all(abs(x) < n for x, n in zip(fastsum._lane_vec(key), total.arr.shape)):
-                    assert fastsum._line_sums_vanish(total.arr, fastsum._lane_vec(key)) == (q is not None)
+                if all(abs(x) < n for x, n in zip(m, total.arr.shape)):
+                    assert fastsum._line_sums_vanish(total.arr, m) == (q is not None)
                 if q is not None:
                     assert fastsum._to_poly(bounded(q)) == exact
 
@@ -634,7 +720,7 @@ def test_zero_leg_sums_stay_int64(monkeypatch):
     assert "_Dense" in layouts and "LaurentPoly" not in layouts
 
 
-@pytest.mark.parametrize("exps", [(292, 0, 0), (500, 3, -2)])
+@pytest.mark.parametrize("exps", [(292, 0, 0), (500, 3, -2), (300001, 3, -2)])
 def test_framing_beyond_lane_range_matches_symbolic(exps):
     symbolic = quot2_vertex_series(2)
     w = LaurentPoly.term(1, tuple(2 * x for x in exps) + (0, 0))
