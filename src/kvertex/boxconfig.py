@@ -28,21 +28,24 @@ def leg_reach(legs):
     return reach
 
 
+def _leg_cells(leg, axis, plane):
+    """The boxes of the leg's cross-section in the given plane across its
+    axis."""
+    row_axis, col_axis = _AXPAIR[axis]
+    for r in range(len(leg)):
+        for s in range(leg[r]):
+            box = [0, 0, 0]
+            box[axis] = plane
+            box[row_axis] = r
+            box[col_axis] = s
+            yield tuple(box)
+
+
 def minimal_core(legs, bound):
     """Union of the truncated leg cylinders: the unique smallest valid core."""
-    core = set()
-    for axis in range(3):
-        leg = legs[axis]
-        row_axis, col_axis = _AXPAIR[axis]
-        for r in range(len(leg)):
-            for s in range(leg[r]):
-                for a in range(bound):
-                    box = [0, 0, 0]
-                    box[axis] = a
-                    box[row_axis] = r
-                    box[col_axis] = s
-                    core.add(tuple(box))
-    return frozenset(core)
+    return frozenset(
+        box for axis in range(3) for a in range(bound) for box in _leg_cells(legs[axis], axis, a)
+    )
 
 
 @dataclass(frozen=True)
@@ -79,17 +82,7 @@ def renormalized_volume(config):
             if plane < 0:
                 continue
             slice_boxes = {box for box in config.core if box[axis] == plane}
-            expected = set()
-            leg = config.legs[axis]
-            row_axis, col_axis = _AXPAIR[axis]
-            for r in range(len(leg)):
-                for s in range(leg[r]):
-                    box = [0, 0, 0]
-                    box[axis] = plane
-                    box[row_axis] = r
-                    box[col_axis] = s
-                    expected.add(tuple(box))
-            if slice_boxes != expected:
+            if slice_boxes != set(_leg_cells(config.legs[axis], axis, plane)):
                 raise ValueError("bound too small")
     return len(config.core) - b * config.leg_sizes()
 
@@ -185,19 +178,43 @@ def leg_diagram_poly(leg, axes):
     return LaurentPoly.from_terms(terms)
 
 
+_ONE_MINUS_T = tuple(ONE - LaurentPoly.var(i) for i in range(3))
+
+
+def _cleared_character(config):
+    """Character as (a, axes) with character = a / prod_{i in axes}(1-t_i)
+    over the leg axes; computed with plain polynomial arithmetic.
+
+    The fraction is already reduced: at t_i = 1 on a leg axis, a is the
+    leg's diagram polynomial times the other leg factors, which is not
+    zero."""
+    core = LaurentPoly.from_terms(
+        (1, (2 * x, 2 * y, 2 * z, 0, 0)) for (x, y, z) in config.core
+    )
+    axes = tuple(axis for axis in range(3) if config.legs[axis])
+    a = core
+    for axis in axes:
+        a = a * _ONE_MINUS_T[axis]
+    for axis in axes:
+        tail = leg_diagram_poly(config.legs[axis], _AXPAIR[axis]) * LaurentPoly.var(
+            axis, 2 * config.bound
+        )
+        for other in axes:
+            if other != axis:
+                tail = tail * _ONE_MINUS_T[other]
+        a = a + tail
+    return a, axes
+
+
 def character(config):
     """Exact character of the structure sheaf at the fixed point: the core
-    boxes plus a geometric tail per leg. Independent of the bound."""
-    terms = [(1, (2 * a, 2 * b, 2 * c, 0, 0)) for (a, b, c) in config.core]
-    rf = RatFunc.from_poly(LaurentPoly.from_terms(terms))
-    for axis in range(3):
-        leg = config.legs[axis]
-        if not leg:
-            continue
-        qleg = leg_diagram_poly(leg, _AXPAIR[axis])
-        tail = qleg * LaurentPoly.var(axis, 2 * config.bound)
-        rf = rf + RatFunc(tail, ONE - LaurentPoly.var(axis))
-    return rf
+    boxes plus a geometric tail per leg, as the cleared character over the
+    product of (1 - t_i) on the leg axes. Independent of the bound."""
+    a, axes = _cleared_character(config)
+    den = ONE
+    for axis in axes:
+        den = den * _ONE_MINUS_T[axis]
+    return RatFunc(a, den)
 
 
 def enumerate_quot_pairs(m):

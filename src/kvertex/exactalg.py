@@ -829,13 +829,6 @@ class QSeries:
         self.coeffs = list(coeffs)
         self.trunc = trunc
 
-    @staticmethod
-    def const(value, trunc, min_power=0):
-        coeffs = [value * 0] * (trunc - min_power + 1)
-        if min_power <= 0 <= trunc:
-            coeffs[-min_power] = value
-        return QSeries(min_power, coeffs, trunc)
-
     def coefficient(self, n):
         if n < self.min_power:
             return self.coeffs[0] * 0

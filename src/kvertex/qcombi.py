@@ -11,15 +11,13 @@ as a word is built left to right, by an amount read from the letter
 counts seen so far, and so does each first-occurrence constraint. So one
 recursion over those counts sums all words at once (_statistic_counts);
 enumerate_words, c_word and _word_stats stay as the test oracle.
-
-Hot loops work on light "kappa dicts" mapping doubled half-powers of kappa
-to integer coefficients; the public API converts to LaurentPoly.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import lru_cache
 
 from .exactalg import LaurentPoly, divide_exact, kappa_pow
 
@@ -68,67 +66,33 @@ def multisets_le3(total):
                 yield (a, b, c)
 
 
-# -- kappa-dict helpers ---------------------------------------------------
-
-def _kd_mul(a, b):
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            s = out.get(e, 0) + ca * cb
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
-
+# -- quantum integers ------------------------------------------------------
 
 def kd_to_poly(kd):
-    """A kappa dict as a LaurentPoly in kappa^(1/2)."""
+    """A dict {doubled kappa exponent: coefficient} as a LaurentPoly in
+    kappa^(1/2)."""
     return LaurentPoly.from_terms((c, (e, e, e, 0, 0)) for e, c in kd.items())
 
 
-_QINT_CACHE = {}
-
-
-def _qint_kd(n):
-    kd = _QINT_CACHE.get(n)
-    if kd is None:
-        if n == 0:
-            kd = {}
-        elif n > 0:
-            sign = 1 if n % 2 else -1
-            kd = {n - 1 - 2 * j: sign for j in range(n)}
-        else:
-            kd = {e: -c for e, c in _qint_kd(-n).items()}
-        _QINT_CACHE[n] = kd
-    return kd
-
-
-_QFACT_CACHE = {0: {0: 1}}
-
-
-def _qfact_kd(n):
-    if n < 0:
-        raise ValueError("quantum factorial wants n >= 0")
-    kd = _QFACT_CACHE.get(n)
-    if kd is None:
-        kd = _kd_mul(_qfact_kd(n - 1), _qint_kd(n))
-        _QFACT_CACHE[n] = kd
-    return kd
-
-
+@lru_cache(maxsize=None)
 def quantum_int(n):
     """The signed quantum integer [n] = (-1)^(n-1)
     (kappa^(n/2) - kappa^(-n/2)) / (kappa^(1/2) - kappa^(-1/2))."""
-    return kd_to_poly(_qint_kd(n))
+    if n < 0:
+        return -quantum_int(-n)
+    sign = 1 if n % 2 else -1
+    return kd_to_poly({n - 1 - 2 * j: sign for j in range(n)})
 
 
+@lru_cache(maxsize=None)
 def quantum_factorial(n):
-    """[n]! = [1][2]...[n]; empty product for n = 0."""
-    return kd_to_poly(_qfact_kd(n))
+    """[n]! = [1][2]...[n]; empty product for n = 0. Cached values are
+    shared between callers, so none may change them."""
+    if n < 0:
+        raise ValueError("quantum factorial wants n >= 0")
+    if n == 0:
+        return LaurentPoly.const(1)
+    return quantum_factorial(n - 1) * quantum_int(n)
 
 
 # -- words ----------------------------------------------------------------
@@ -388,11 +352,10 @@ class IdentityResult:
 def _qfact_ratio(num_fact, den_facts):
     """[num_fact]! / prod [d]! as an exact polynomial; the ratio is exact
     for every identity right-hand side used here."""
-    num = kd_to_poly(_qfact_kd(num_fact))
     den = LaurentPoly.const(1)
     for d in den_facts:
-        den = den * kd_to_poly(_qfact_kd(d))
-    q = divide_exact(num, den)
+        den = den * quantum_factorial(d)
+    q = divide_exact(quantum_factorial(num_fact), den)
     if q is None:
         raise ArithmeticError("quantum factorial ratio is not polynomial")
     return q

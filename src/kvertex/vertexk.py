@@ -29,7 +29,9 @@ from functools import lru_cache
 from . import fastsum
 from .boxconfig import (
     _AXPAIR,
+    _ONE_MINUS_T,
     BoxConfig,
+    _cleared_character,
     enumerate_configs,
     enumerate_quot_pairs,
     leg_diagram_poly,
@@ -105,35 +107,9 @@ def _certified(v):
     return VertexChar(v)
 
 
-_ONE_MINUS_T = tuple(ONE - LaurentPoly.var(i) for i in range(3))
 _ONE_MINUS_TINV = tuple(p.bar() for p in _ONE_MINUS_T)
 # D / kappa, with D = (1-t1)(1-t2)(1-t3)
 _D_OVER_KAPPA = (_ONE_MINUS_T[0] * _ONE_MINUS_T[1] * _ONE_MINUS_T[2]).shift(_KAPPA_INV_EXPS)
-
-
-def _cleared_character(config):
-    """Character as (a, axes) with character = a / prod_{i in axes}(1-t_i)
-    over the leg axes; computed with plain polynomial arithmetic.
-
-    The fraction is already reduced: at t_i = 1 on a leg axis, a is the
-    leg's diagram polynomial times the other leg factors, which is not
-    zero."""
-    core = LaurentPoly.from_terms(
-        (1, (2 * x, 2 * y, 2 * z, 0, 0)) for (x, y, z) in config.core
-    )
-    axes = tuple(axis for axis in range(3) if config.legs[axis])
-    a = core
-    for axis in axes:
-        a = a * _ONE_MINUS_T[axis]
-    for axis in axes:
-        tail = leg_diagram_poly(config.legs[axis], _AXPAIR[axis]) * LaurentPoly.var(
-            axis, 2 * config.bound
-        )
-        for other in axes:
-            if other != axis:
-                tail = tail * _ONE_MINUS_T[other]
-        a = a + tail
-    return a, axes
 
 
 def _tangent_block_poly(to, frm):
@@ -282,15 +258,7 @@ def fixed_point_weight(vchar):
         if vchar.coeff((0, 0, 0, 0, 0)):
             raise ArithmeticError("non-isolated contribution")
         vchar = VertexChar(vchar)
-    fw = factored_weight(vchar)
-    num = LaurentPoly.const(fw.sign)
-    den = ONE
-    for m, e in sorted(fw.fac.items()):
-        if e > 0:
-            num = num * (_half_binomial(m) ** e)
-        else:
-            den = den * (_half_binomial(m) ** (-e))
-    return RatFunc(num, den)
+    return _pair_to_ratfunc(sum_weights([factored_weight(vchar)]))
 
 
 def _pair_to_ratfunc(pair):

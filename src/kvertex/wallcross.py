@@ -15,7 +15,7 @@ normalization), so hilb symbols start at index 1 with hilb[0] = 1.
 
 from __future__ import annotations
 
-from .exactalg import LaurentPoly, QSeries, RatFunc
+from .exactalg import LaurentPoly, QSeries, RatFunc, _as_ratfunc
 from .qcombi import (
     compositions,
     quantum_factorial,
@@ -41,11 +41,12 @@ class FormalExpr:
 
     @staticmethod
     def scalar(c):
-        if isinstance(c, (int, LaurentPoly)):
-            c = _as_kappa_rf(c)
-        if c.is_zero():
-            return FormalExpr({})
-        return FormalExpr({(): c})
+        """An int, LaurentPoly or RatFunc as a constant expression;
+        NotImplemented for anything else."""
+        c = _as_ratfunc(c)
+        if c is NotImplemented:
+            return c
+        return FormalExpr({(): c} if c else {})
 
     @staticmethod
     def symbol(family, index):
@@ -58,10 +59,9 @@ class FormalExpr:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, LaurentPoly, RatFunc)):
-            other = FormalExpr.scalar(other)
-        if not isinstance(other, FormalExpr):
-            return NotImplemented
+        other = _as_formal(other)
+        if other is NotImplemented:
+            return other
         if self.terms.keys() != other.terms.keys():
             return False
         return all(other.terms[k] == v for k, v in self.terms.items())
@@ -74,10 +74,9 @@ class FormalExpr:
         return FormalExpr({k: -v for k, v in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, LaurentPoly, RatFunc)):
-            other = FormalExpr.scalar(other)
-        if not isinstance(other, FormalExpr):
-            return NotImplemented
+        other = _as_formal(other)
+        if other is NotImplemented:
+            return other
         out = dict(self.terms)
         for k, v in other.terms.items():
             s = out.get(k)
@@ -91,23 +90,18 @@ class FormalExpr:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, LaurentPoly, RatFunc)):
-            other = FormalExpr.scalar(other)
-        if not isinstance(other, FormalExpr):
-            return NotImplemented
+        other = _as_formal(other)
+        if other is NotImplemented:
+            return other
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly, RatFunc)):
-            c = _as_kappa_rf(other)
-            if c.is_zero():
-                return FormalExpr({})
-            return FormalExpr({k: v * c for k, v in self.terms.items()})
-        if not isinstance(other, FormalExpr):
-            return NotImplemented
+        other = _as_formal(other)
+        if other is NotImplemented:
+            return other
         out = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
@@ -167,22 +161,8 @@ class FormalExpr:
         return "FormalExpr(%s)" % self
 
 
-def _as_kappa_rf(x):
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RatFunc.from_poly(x)
-    return RatFunc.from_poly(LaurentPoly.const(x))
-
-
-def _qfact_rf(n):
-    return RatFunc.from_poly(quantum_factorial(n))
-
-
-def _hilb_monomial(mvec):
-    return FormalExpr(
-        {tuple(sorted((HILB, m) for m in mvec)): RatFunc.one()}
-    )
+def _as_formal(x):
+    return x if isinstance(x, FormalExpr) else FormalExpr.scalar(x)
 
 
 # Transfer kinds. Each entry gives the word sum of mvec + (N - m,) for a
@@ -207,23 +187,29 @@ _KINDS = {
 def _composition_sum(kind, m, N):
     """Transfer coefficient of the given kind at Q^m: the sum over
     compositions of m of the kind's term times the matching hilb
-    symbols."""
+    symbols.
+
+    Every term has the denominator [N-b]!, so each composition gives an
+    integer numerator, word sum times [N-m-a]! prod [m_i - 1]! with the
+    kind's sign; the numerators are added per hilb monomial, and each
+    monomial's RatFunc is formed once."""
     if not 1 <= m <= N - 1:
         raise ValueError("need 1 <= m <= N-1")
     word_sum, a, b, alternating = _KINDS[kind]
-    pref = _qfact_rf(N - m - a) / _qfact_rf(N - b)
-    out = FormalExpr({})
+    nums = {}
     for mvec in compositions(m):
-        wsum = word_sum(mvec + (N - m,))
-        if wsum.is_zero():
+        num = word_sum(mvec + (N - m,))
+        if num.is_zero():
             continue
-        coeff = _as_kappa_rf(wsum) * pref
+        num = num * quantum_factorial(N - m - a)
         for mi in mvec:
-            coeff = coeff * _qfact_rf(mi - 1)
+            num = num * quantum_factorial(mi - 1)
         if alternating and len(mvec) % 2:
-            coeff = -coeff
-        out = out + _hilb_monomial(mvec) * coeff
-    return out
+            num = -num
+        key = tuple(sorted((HILB, mi) for mi in mvec))
+        nums[key] = nums[key] + num if key in nums else num
+    den = quantum_factorial(N - b)
+    return FormalExpr({k: RatFunc(num, den) for k, num in nums.items() if num})
 
 
 def wall_transfer(m, N):

@@ -223,9 +223,11 @@ def test_criterion_13_performance_floor(dt0_through_8):
 
 
 def test_benchmark_reference_digests(dt0_through_8, monkeypatch):
-    # The benchmark compares the bytes of each coefficient's JSON with
-    # perfbench/reference.json; a change to those bytes (the value may stay
-    # equal, e.g. a reduced fraction printed another way) must show here.
+    # The benchmark compares the bytes of each digested output with
+    # perfbench/reference.json: the dt0 and quot2 coefficients' JSON, the
+    # identity results and the legged characters and weights. A change to
+    # those bytes (the value may stay equal, e.g. a reduced fraction
+    # printed another way) must show here, for every reference digest.
     perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "perfbench")
     monkeypatch.syspath_prepend(perfbench)
@@ -236,5 +238,8 @@ def test_benchmark_reference_digests(dt0_through_8, monkeypatch):
     series, _ = dt0_through_8
     ops = (workloads.series_ops("dt0", series, range(7))
            + workloads.series_ops("quot2", quot2_vertex_series(3, jobs=1), range(4)))
-    got = {op: digest for op, ok, _, digest in ops if ok}
-    assert got == {op: reference[op] for op, *_ in ops}
+    for workload in (workloads.Identities, workloads.LeggedChars):
+        inp = workload.inputs(0, "full")
+        ops += workload.verify(inp, workload.compute(inp))
+    assert [op for op, ok, _, _ in ops if not ok] == []
+    assert {op: digest for op, _, _, digest in ops if digest is not None} == reference

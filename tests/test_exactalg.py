@@ -207,7 +207,7 @@ def test_ratfunc_across_scales():
 
 
 def one_series(trunc):
-    return QSeries.const(RatFunc.one(), trunc)
+    return QSeries(0, [RatFunc.one()] + [RatFunc.zero()] * trunc, trunc)
 
 
 def test_series_division_examples():

@@ -4,13 +4,19 @@ geometric bridges."""
 import pytest
 
 from kvertex.exactalg import LaurentPoly, RatFunc
-from kvertex.qcombi import quantum_factorial, restricted_word_sum
+from kvertex.qcombi import (
+    compositions,
+    quantum_factorial,
+    restricted_word_sum,
+    shifted_word_sum,
+)
 from kvertex.vertexk import dt_vertex_series, quot2_vertex_series
 from kvertex.wallcross import (
     HILB,
     PAIR,
     FormalExpr,
     W_pm,
+    _composition_sum,
     dt_side_check,
     hilb_symbol_series,
     joyce_check,
@@ -56,6 +62,49 @@ def test_wall_transfer_collapses():
             assert wall_transfer(m, N) == FormalExpr.symbol(HILB, m), (m, N)
 
 
+# Each transfer kind written out apart from wallcross: the word sum of
+# mvec + (N - m,) for a composition mvec of m, the shifts (a, b) of the
+# prefactor [N-m-a]! prod [m_i - 1]! / [N-b]!, and whether the term carries
+# the sign (-1)^len(mvec).
+PER_COMPOSITION = {
+    "LT": (lambda full: restricted_word_sum("LT", full), 0, 0, False),
+    "B": (lambda full: restricted_word_sum("B", full), 1, 1, False),
+    "ALL": (lambda full: restricted_word_sum("ALL", full), 1, 0, False),
+    "GT": (lambda full: restricted_word_sum("GT", full), 0, 0, True),
+    "SHIFTED": (shifted_word_sum, 0, 0, False),
+}
+
+
+def composition_term(kind, mvec, N):
+    """One composition's term as its own RatFunc, multiplied out factor by
+    factor, times its hilb monomial."""
+    def qf(n):
+        return RatFunc.from_poly(quantum_factorial(n))
+
+    word_sum, a, b, alternating = PER_COMPOSITION[kind]
+    m = sum(mvec)
+    coeff = RatFunc.from_poly(word_sum(mvec + (N - m,)))
+    coeff = coeff * qf(N - m - a) / qf(N - b)
+    mono = FormalExpr.scalar(1)
+    for mi in mvec:
+        coeff = coeff * qf(mi - 1)
+        mono = mono * FormalExpr.symbol(HILB, mi)
+    if alternating and len(mvec) % 2:
+        coeff = -coeff
+    return mono * coeff
+
+
+def test_composition_sum_matches_per_composition_terms():
+    # _composition_sum adds integer numerators over the one denominator
+    # [N-b]!; the sum of the terms built one RatFunc at a time must agree.
+    for kind in PER_COMPOSITION:
+        for m in range(1, 5):
+            for N in range(m + 1, m + 5):
+                expect = sum((composition_term(kind, mvec, N) for mvec in compositions(m)),
+                             FormalExpr())
+                assert _composition_sum(kind, m, N) == expect, (kind, m, N)
+
+
 def test_wall_transfer_single_composition_is_strict_subsum():
     # Each composition's term is rebuilt from the LT word sum and the
     # prefactor [N-m]! prod [m_i - 1]! / [N]!, independently of
@@ -66,18 +115,8 @@ def test_wall_transfer_single_composition_is_strict_subsum():
     # is twice its own word sum, so that sum is 0 and the (2,) term alone
     # already equals hilb[2]. A strict sub-sum first appears at m = 3:
     # (1, 2) and (2, 1) are nonzero and cancel only against each other.
-    def qf(n):
-        return RatFunc.from_poly(quantum_factorial(n))
-
     def term(mvec, N):
-        m = sum(mvec)
-        coeff = RatFunc.from_poly(restricted_word_sum("LT", mvec + (N - m,)))
-        coeff = coeff * qf(N - m) / qf(N)
-        mono = FormalExpr.scalar(1)
-        for mi in mvec:
-            coeff = coeff * qf(mi - 1)
-            mono = mono * FormalExpr.symbol(HILB, mi)
-        return mono * coeff
+        return composition_term("LT", mvec, N)
 
     h2 = FormalExpr.symbol(HILB, 2)
     h3 = FormalExpr.symbol(HILB, 3)
