@@ -12,6 +12,7 @@ transverse coordinates, rows indexed by the lower-numbered transverse axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .exactalg import ONE, LaurentPoly, RatFunc
 
@@ -41,8 +42,10 @@ def _leg_cells(leg, axis, plane):
             yield tuple(box)
 
 
+@lru_cache(maxsize=None)
 def minimal_core(legs, bound):
-    """Union of the truncated leg cylinders: the unique smallest valid core."""
+    """Union of the truncated leg cylinders: the unique smallest valid core.
+    Cached: legs must be a tuple of tuples."""
     return frozenset(
         box for axis in range(3) for a in range(bound) for box in _leg_cells(legs[axis], axis, a)
     )

@@ -819,5 +819,11 @@ def sum_factored(fws):
         if len(pairs) % 2:
             merged.append(pairs[-1])
         pairs = merged
-    arr, den = _pair_reduce(*pairs[0])
+    arr, den = pairs[0]
+    # With more than one weight the top merge ran full=True: it trial-divided
+    # by every factor until one failed, and a binomial that does not divide a
+    # numerator cannot divide its exact quotient by other factors. So only a
+    # single leaf still needs its pass.
+    if len(fws) == 1:
+        arr, den = _pair_reduce(arr, den)
     return _to_poly(arr), den

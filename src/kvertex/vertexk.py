@@ -7,11 +7,19 @@ triple (the union of the leg cylinders), V is the tangent block over
 D = (1-t1)(1-t2)(1-t3) divided exactly by D, and its poles must cancel.
 Every other configuration differs from the minimal one by the boxes E
 outside the cylinders, and its V is the minimal one plus a Laurent
-polynomial in E, with no division. Every V is certified on the spot:
-coefficients must be integers summing to zero, there must be no trivial
-weight, and V must be antisymmetric of weight kappa under the dual
-involution. The symmetrized contribution of a fixed point is then
-prod (w^(1/2) - w^(-1/2))^(-n_w) over the weights w of V.
+polynomial in E, with no division. That polynomial is added term by term
+into one dict keyed by packed monomials: no intermediate polynomial is
+built, and the cached minimal pieces are only read.
+
+Every V is certified on the spot: coefficients must be integers summing to
+zero, there must be no trivial weight, and V must be antisymmetric of weight
+kappa under the dual involution, bar(V) = -kappa V. Writing
+sigma(t^k) = bar(t^k)/kappa, an involution on monomials, the last condition
+reads V[sigma(k)] = -V[k] for every k. It is checked in the same single pass
+over the stored terms as the other three: a nonzero V[sigma(k)] at an
+unstored k is a stored term whose partner k fails. The symmetrized contribution
+of a fixed point is then prod (w^(1/2) - w^(-1/2))^(-n_w) over the weights w
+of V.
 
 Series coefficients are sums of such contributions. fastsum accumulates
 them in a factored form (numerator polynomial over a multiset of weight
@@ -46,8 +54,10 @@ from .exactalg import (
     QSeries,
     RatFunc,
     _PARITY,
+    _SHIFTS,
     _fold_factors,
     _kneg,
+    _pack,
     divide_exact,
 )
 from .fastsum import _half_binomial
@@ -84,18 +94,33 @@ class VertexChar:
     poly: LaurentPoly
 
 
-_KAPPA_EXPS = (2, 2, 2, 0, 0)
 _KAPPA_INV_EXPS = (-2, -2, -2, 0, 0)
+# sigma(t^k) = bar(t^k) / kappa is the packed key _SIGMA - k
+_SIGMA = PACK_ZERO + _pack(_KAPPA_INV_EXPS)
 
 
 def _vertex_invariant_errors(v):
-    if not all(isinstance(c, int) for _, c in v.d.items()):
-        return "non-integer multiplicity"
-    if v.coeff((0, 0, 0, 0, 0)):
+    """The first failing invariant of V, or None, in one pass over its
+    terms: integrality, isolation, rank zero, then bar(V) = -kappa V.
+
+    The last is V[sigma(k)] = -V[k] for all k. Checking the stored keys
+    suffices: sigma is an involution, so if V[sigma(k)] were nonzero at an
+    unstored k, the stored key sigma(k) would already fail the check."""
+    d = v.d
+    get = d.get
+    rank = 0
+    symmetric = True
+    for k, c in d.items():
+        if not isinstance(c, int):
+            return "non-integer multiplicity"
+        rank += c
+        if get(_SIGMA - k, 0) != -c:
+            symmetric = False
+    if get(PACK_ZERO):
         return "non-isolated contribution"
-    if v.coefficient_sum() != 0:
+    if rank:
         return "nonzero virtual rank"
-    if v.bar() != -v.shift(_KAPPA_EXPS):
+    if not symmetric:
         return "symmetry violation"
     return None
 
@@ -108,8 +133,10 @@ def _certified(v):
 
 
 _ONE_MINUS_TINV = tuple(p.bar() for p in _ONE_MINUS_T)
-# D / kappa, with D = (1-t1)(1-t2)(1-t3)
-_D_OVER_KAPPA = (_ONE_MINUS_T[0] * _ONE_MINUS_T[1] * _ONE_MINUS_T[2]).shift(_KAPPA_INV_EXPS)
+# the terms of D / kappa, with D = (1-t1)(1-t2)(1-t3)
+_D_OVER_KAPPA = tuple(
+    (_ONE_MINUS_T[0] * _ONE_MINUS_T[1] * _ONE_MINUS_T[2]).shift(_KAPPA_INV_EXPS).d.items()
+)
 
 
 def _tangent_block_poly(to, frm):
@@ -169,19 +196,20 @@ def _vertex_from_scratch(config):
 
 @lru_cache(maxsize=None)
 def _minimal_vertex(legs):
-    """(V_min, a0 C / kappa, bar(a0) bar(C)) for a leg triple, where a0 is
-    the cleared numerator of the minimal configuration and C the product
-    of (1 - t_i) over the legless axes."""
+    """(V_min, terms of bar(a0) bar(C) as (key offset, coefficient))
+    for a leg triple, where a0 is the cleared numerator of the minimal
+    configuration and C the product of (1 - t_i) over the legless axes."""
     bound = leg_reach(legs) + 2
     config = BoxConfig(legs, bound, minimal_core(legs, bound))
     a0c = _cleared_character(config)[0]
     for axis in range(3):
         if not legs[axis]:
             a0c = a0c * _ONE_MINUS_T[axis]
-    return _vertex_from_scratch(config).poly, a0c.shift(_KAPPA_INV_EXPS), a0c.bar()
+    a0c_bar = tuple((k - PACK_ZERO, c) for k, c in a0c.bar().d.items())
+    return _vertex_from_scratch(config).poly, a0c_bar
 
 
-_minimal_core = lru_cache(maxsize=None)(minimal_core)
+_S1, _S2, _S3 = _SHIFTS[:3]
 
 
 def vertex_character(config):
@@ -191,26 +219,50 @@ def vertex_character(config):
     With E the sum of t^x over the core boxes x outside the leg cylinders,
     the cleared character is a = a0 + P_S E, where P_S is the product of
     (1 - t_i) over the leg axes S. Substituting into the tangent block
-    leaves no division:
+    leaves no division. With X = E - E bar(a0 C) and
+    sigma(t^k) = bar(t^k)/kappa,
 
-        V = V_min + E - bar(E)/kappa + (a0 C + D E) bar(E)/kappa
-            - E bar(a0) bar(C).
+        V = V_min + X - sigma(X) + (D/kappa) E bar(E).
+
+    Every term is added straight into one dict seeded with V_min's terms,
+    and no intermediate LaurentPoly is built: each term of X goes in at its
+    key k and, negated, at sigma(k). (D/kappa) E is formed once, in a dict
+    of its own, before it meets bar(E): D E cancels across the faces that
+    boxes of E share, so its size grows about linearly in |E| where
+    E bar(E) grows about quadratically. With the 9 extra boxes typical of
+    volume 4 in the criterion-8 sweep this takes about 30% fewer dict
+    updates than E bar(E) times D/kappa, and about as many with the 3
+    typical of the benchmark's legged slices.
     """
-    vmin, a0c_over_kappa, a0c_bar = _minimal_vertex(config.legs)
-    cylinders = _minimal_core(config.legs, config.bound)
+    vmin, a0c_bar = _minimal_vertex(config.legs)
+    cylinders = minimal_core(config.legs, config.bound)
     extra = config.core - cylinders
     if len(config.core) - len(extra) != len(cylinders):
         raise ValueError("core misses a leg cylinder box below its bound")
-    e = LaurentPoly.from_terms((1, (2 * x, 2 * y, 2 * z, 0, 0)) for (x, y, z) in extra)
-    ebar = e.bar()
-    v = (
-        vmin
-        + e
-        - ebar.shift(_KAPPA_INV_EXPS)
-        + (a0c_over_kappa + _D_OVER_KAPPA * e) * ebar
-        - e * a0c_bar
-    )
-    return _certified(v)
+    e = [PACK_ZERO + (2 * x << _S1) + (2 * y << _S2) + (2 * z << _S3) for (x, y, z) in extra]
+    d = dict(vmin.d)
+    get = d.get
+    for k in e:
+        d[k] = get(k, 0) + 1
+        j = _SIGMA - k
+        d[j] = get(j, 0) - 1
+        for off, c in a0c_bar:
+            j = k + off
+            d[j] = get(j, 0) - c
+            j = _SIGMA - j
+            d[j] = get(j, 0) + c
+    # keys of de carry PACK_ZERO twice; minus a key of E, they are packed
+    de = {}
+    for k in e:
+        for kd, c in _D_OVER_KAPPA:
+            j = k + kd
+            de[j] = de.get(j, 0) + c
+    for k, c in de.items():
+        if c:
+            for k2 in e:
+                j = k - k2
+                d[j] = get(j, 0) + c
+    return _certified(LaurentPoly({k: c for k, c in d.items() if c}))
 
 
 # -- symmetrized weights -------------------------------------------------

@@ -3,6 +3,7 @@ oracles where the contracts give one."""
 
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -141,12 +142,93 @@ def test_leg_axes_are_real_poles():
                     assert divide_exact(a, ONE - LaurentPoly.var(axis)) is None
 
 
+def _two_one_slices():
+    """Every triple over LEG_CHOICES and (2, 1) with a (2, 1) leg, from its
+    minimal volume through two more, the 3-leg ((2, 1), (2, 1), (2, 1))
+    among them: the one leg shape here whose cross-section is not a
+    rectangle."""
+    out = []
+    for legs in itertools.product(LEG_CHOICES + ((2, 1),), repeat=3):
+        if (2, 1) in legs:
+            lo = min_volume(*legs)
+            out.extend((legs, n) for n in range(lo, lo + 3))
+    return out
+
+
 def test_character_from_minimal_matches_scratch():
     import kvertex.vertexk as vk
 
-    for legs, n in _legged_chars_slices():
+    for legs, n in _legged_chars_slices() + _two_one_slices():
         for c in enumerate_configs(*legs, n=n):
             assert vertex_character(c) == vk._vertex_from_scratch(c), (legs, n, c.sorted_core())
+
+
+def _four_step_errors(v):
+    """The certificate as four whole-polynomial checks: the reference for
+    the one-pass check."""
+    if not all(isinstance(c, int) for c in v.d.values()):
+        return "non-integer multiplicity"
+    if v.coeff((0, 0, 0, 0, 0)):
+        return "non-isolated contribution"
+    if v.coefficient_sum() != 0:
+        return "nonzero virtual rank"
+    if v.bar() != -(v * KAPPA):
+        return "symmetry violation"
+    return None
+
+
+def _plus(v, terms):
+    """v plus the (coefficient, doubled exponents) terms, any coefficient
+    type, zero sums dropped."""
+    d = dict(v.d)
+    for c, exps in terms:
+        (k,) = LaurentPoly.term(1, exps).d
+        d[k] = d.get(k, 0) + c
+        if not d[k]:
+            del d[k]
+    return LaurentPoly(d)
+
+
+# Perturbations of a certified V, each breaking the invariants named, away
+# from the exponents any tested V uses. sigma(t^k) = bar(t^k) / kappa.
+_BREAKS = (
+    # (t^a - sigma(t^a)) / 2
+    ({"non-integer multiplicity"},
+     ((Fraction(1, 2), (20, 0, 0, 0, 0)), (Fraction(-1, 2), (-22, -2, -2, 0, 0)))),
+    # 1 - sigma(1)
+    ({"non-isolated contribution"}, ((1, (0, 0, 0, 0, 0)), (-1, (-2, -2, -2, 0, 0)))),
+    # a single term: sigma forces rank zero, so no break of the rank alone
+    ({"nonzero virtual rank", "symmetry violation"}, ((1, (0, 0, 30, 0, 0)),)),
+    # rank zero, partners missing
+    ({"symmetry violation"}, ((1, (0, 20, 0, 0, 0)), (-1, (0, 0, 20, 0, 0)))),
+    # rank zero, partners stored with the wrong sign
+    ({"symmetry violation"}, ((1, (0, 24, 0, 0, 0)), (1, (-2, -26, -2, 0, 0)),
+                              (-1, (0, 0, 24, 0, 0)), (-1, (-2, -2, -26, 0, 0)))),
+)
+_ORDER = ("non-integer multiplicity", "non-isolated contribution", "nonzero virtual rank",
+          "symmetry violation")
+
+
+def test_one_pass_certificate_matches_four_step_check():
+    import kvertex.vertexk as vk
+
+    bases = [LaurentPoly.zero(), SINGLE_BOX_V]
+    bases += [vertex_character(c).poly for c in enumerate_configs((2,), (1,), (1, 1), n=-2)]
+    for v in bases:
+        for r in range(len(_BREAKS) + 1):
+            for chosen in itertools.combinations(_BREAKS, r):
+                broken = set().union(*(names for names, _ in chosen))
+                w = _plus(v, [t for _, terms in chosen for t in terms])
+                expected = next((name for name in _ORDER if name in broken), None)
+                assert _four_step_errors(w) == expected, (str(v), broken)
+                assert vk._vertex_invariant_errors(w) == expected, (str(v), broken)
+    for legs, n in _legged_chars_slices():
+        for c in enumerate_configs(*legs, n=n):
+            v = vertex_character(c).poly
+            assert vk._vertex_invariant_errors(v) is None and _four_step_errors(v) is None
+            for k in v.d:
+                w = LaurentPoly({**v.d, k: -v.d[k]})
+                assert vk._vertex_invariant_errors(w) == _four_step_errors(w) is not None
 
 
 def test_character_independent_of_bound():
