@@ -30,7 +30,6 @@ from .vertexk import (
 )
 from .wallcross import (
     FormalExpr,
-    W_pm,
     joyce_check,
     mochizuki_check,
     pt_from_dt_series,
@@ -63,7 +62,6 @@ __all__ = [
     "quot2_vertex_series",
     "vertex_character",
     "FormalExpr",
-    "W_pm",
     "joyce_check",
     "mochizuki_check",
     "pt_from_dt_series",

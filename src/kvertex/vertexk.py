@@ -1,15 +1,20 @@
 """Vertex characters, symmetrized fixed-point weights, and assembly of the
 box-counting vertex series.
 
-The character of a fixed-point configuration determines a Laurent-polynomial
-virtual tangent character V. For the minimal configuration of each leg
-triple (the union of the leg cylinders), V is the tangent block over
-D = (1-t1)(1-t2)(1-t3) divided exactly by D, and its poles must cancel.
-Every other configuration differs from the minimal one by the boxes E
-outside the cylinders, and its V is the minimal one plus a Laurent
-polynomial in E, with no division. That polynomial is added term by term
-into one dict keyed by packed monomials: no intermediate polynomial is
-built, and the cached minimal pieces are only read.
+Every fixed point, a box configuration of the DT vertex or a pair of plane
+partitions of the rank-2 Quot scheme, has a Laurent-polynomial virtual
+tangent character V of one closed form. With sigma(t^k) = bar(t^k)/kappa
+and D = (1-t1)(1-t2)(1-t3),
+
+    V = V_min + Y G - sigma(Y G) + (D/kappa) G bar(G),
+
+where G sums the boxes the fixed point adds. For a DT configuration, G = E
+is the boxes outside the leg cylinders, V_min the character of the minimal
+configuration (the union of the cylinders) and Y = 1 - bar(a0 C). For a
+pair (E_1, E_2) with framing ratio u = w2/w1, G = E_1 + u E_2, V_min = 0
+and Y = bar(W) with W = 1 + u. Only V_min is divided: it is the tangent
+block over D divided exactly by D, and its poles must cancel. The closed
+form is added term by term into one dict keyed by packed monomials.
 
 Every V is certified on the spot: coefficients must be integers summing to
 zero, there must be no trivial weight, and V must be antisymmetric of weight
@@ -132,43 +137,25 @@ def _certified(v):
     return VertexChar(v)
 
 
-_ONE_MINUS_TINV = tuple(p.bar() for p in _ONE_MINUS_T)
 # the terms of D / kappa, with D = (1-t1)(1-t2)(1-t3)
 _D_OVER_KAPPA = tuple(
     (_ONE_MINUS_T[0] * _ONE_MINUS_T[1] * _ONE_MINUS_T[2]).shift(_KAPPA_INV_EXPS).d.items()
 )
 
 
-def _tangent_block_poly(to, frm):
-    """Numerator over D = (1-t1)(1-t2)(1-t3) of the bilinear tangent block
-    for reduced characters to = (a, axes) and frm likewise.
+def _tangent_block_poly(cleared):
+    """Numerator over D = (1-t1)(1-t2)(1-t3) of the tangent block of a
+    reduced character cleared = (a, axes).
 
     Since bar(D) = -D/kappa, the three block terms collapse over the single
-    denominator D as A_to + bar(A_from) - A_to bar(A_from), where A = a
-    times the inactive denominator factors."""
-    a_to, axes_to = to
-    a_frm, axes_frm = frm
-    cross = a_to * a_frm.bar()
-    full_to = a_to
-    full_frm_bar = a_frm.bar()
+    denominator D as A + bar(A) - A bar(A), where A = a times the inactive
+    denominator factors."""
+    a, axes = cleared
     for axis in range(3):
-        if axis not in axes_to:
-            full_to = full_to * _ONE_MINUS_T[axis]
-            cross = cross * _ONE_MINUS_T[axis]
-        if axis not in axes_frm:
-            full_frm_bar = full_frm_bar * _ONE_MINUS_TINV[axis]
-            cross = cross * _ONE_MINUS_TINV[axis]
-    return full_to + full_frm_bar - cross
-
-
-def _certified_vertex(num):
-    """Divide the block numerator by D and certify the invariants."""
-    for axis in range(3):
-        q = divide_exact(num, _ONE_MINUS_T[axis])
-        if q is None:
-            raise ArithmeticError("pole not cleared")
-        num = q
-    return _certified(num)
+        if axis not in axes:
+            a = a * _ONE_MINUS_T[axis]
+    a_bar = a.bar()
+    return a + a_bar - a * a_bar
 
 
 @lru_cache(maxsize=None)
@@ -185,18 +172,21 @@ def _vertex_from_scratch(config):
     """vertex_character by the tangent block over D, three exact divisions
     and the pole check: the base case on minimal configurations, and the
     oracle of the tests."""
-    cleared = _cleared_character(config)
-    num = _tangent_block_poly(cleared, cleared)
+    num = _tangent_block_poly(_cleared_character(config))
     for axis in range(3):
         leg = config.legs[axis]
         if leg:
             num = num - _leg_block(leg, axis)
-    return _certified_vertex(num)
+    for axis in range(3):
+        num = divide_exact(num, _ONE_MINUS_T[axis])
+        if num is None:
+            raise ArithmeticError("pole not cleared")
+    return _certified(num)
 
 
 @lru_cache(maxsize=None)
 def _minimal_vertex(legs):
-    """(V_min, terms of bar(a0) bar(C) as (key offset, coefficient))
+    """(V_min, terms of Y = 1 - bar(a0) bar(C) as (key offset, coefficient))
     for a leg triple, where a0 is the cleared numerator of the minimal
     configuration and C the product of (1 - t_i) over the legless axes."""
     bound = leg_reach(legs) + 2
@@ -205,11 +195,51 @@ def _minimal_vertex(legs):
     for axis in range(3):
         if not legs[axis]:
             a0c = a0c * _ONE_MINUS_T[axis]
-    a0c_bar = tuple((k - PACK_ZERO, c) for k, c in a0c.bar().d.items())
-    return _vertex_from_scratch(config).poly, a0c_bar
+    y = ((0, 1),) + tuple((k - PACK_ZERO, -c) for k, c in a0c.bar().d.items())
+    return _vertex_from_scratch(config).poly, y
 
 
 _S1, _S2, _S3 = _SHIFTS[:3]
+
+
+def _box_keys(boxes, off=0):
+    """Packed keys of the box monomials t^x, times the monomial of key
+    offset off."""
+    base = PACK_ZERO + off
+    return [base + (2 * x << _S1) + (2 * y << _S2) + (2 * z << _S3) for (x, y, z) in boxes]
+
+
+def _built_vertex(vmin, g, y):
+    """The certified V = V_min + Y G - sigma(Y G) + (D/kappa) G bar(G), for
+    G as a list of packed keys (a repeated key is a repeated term) and Y as
+    (key offset, coefficient) terms.
+
+    Every term goes straight into one dict seeded with V_min's terms, each
+    term of Y G at its key k and, negated, at sigma(k). (D/kappa) G is
+    formed once before it meets bar(G): D G cancels across the faces that
+    boxes of G share, so it grows about linearly in |G| where G bar(G)
+    grows quadratically. At volume 4 of the criterion-8 sweep (9 extra
+    boxes typical) this saves about 30% of the dict updates."""
+    d = dict(vmin.d)
+    get = d.get
+    for k in g:
+        for off, c in y:
+            j = k + off
+            d[j] = get(j, 0) + c
+            j = _SIGMA - j
+            d[j] = get(j, 0) - c
+    # keys of dg carry PACK_ZERO twice; minus a key of G, they are packed
+    dg = {}
+    for k in g:
+        for kd, c in _D_OVER_KAPPA:
+            j = k + kd
+            dg[j] = dg.get(j, 0) + c
+    for k, c in dg.items():
+        if c:
+            for k2 in g:
+                j = k - k2
+                d[j] = get(j, 0) + c
+    return _certified(LaurentPoly({k: c for k, c in d.items() if c}))
 
 
 def vertex_character(config):
@@ -219,50 +249,17 @@ def vertex_character(config):
     With E the sum of t^x over the core boxes x outside the leg cylinders,
     the cleared character is a = a0 + P_S E, where P_S is the product of
     (1 - t_i) over the leg axes S. Substituting into the tangent block
-    leaves no division. With X = E - E bar(a0 C) and
-    sigma(t^k) = bar(t^k)/kappa,
+    leaves no division: with Y = 1 - bar(a0 C), the closed form of
+    _built_vertex with G = E,
 
-        V = V_min + X - sigma(X) + (D/kappa) E bar(E).
-
-    Every term is added straight into one dict seeded with V_min's terms,
-    and no intermediate LaurentPoly is built: each term of X goes in at its
-    key k and, negated, at sigma(k). (D/kappa) E is formed once, in a dict
-    of its own, before it meets bar(E): D E cancels across the faces that
-    boxes of E share, so its size grows about linearly in |E| where
-    E bar(E) grows about quadratically. With the 9 extra boxes typical of
-    volume 4 in the criterion-8 sweep this takes about 30% fewer dict
-    updates than E bar(E) times D/kappa, and about as many with the 3
-    typical of the benchmark's legged slices.
+        V = V_min + Y E - sigma(Y E) + (D/kappa) E bar(E).
     """
-    vmin, a0c_bar = _minimal_vertex(config.legs)
+    vmin, y = _minimal_vertex(config.legs)
     cylinders = minimal_core(config.legs, config.bound)
     extra = config.core - cylinders
     if len(config.core) - len(extra) != len(cylinders):
         raise ValueError("core misses a leg cylinder box below its bound")
-    e = [PACK_ZERO + (2 * x << _S1) + (2 * y << _S2) + (2 * z << _S3) for (x, y, z) in extra]
-    d = dict(vmin.d)
-    get = d.get
-    for k in e:
-        d[k] = get(k, 0) + 1
-        j = _SIGMA - k
-        d[j] = get(j, 0) - 1
-        for off, c in a0c_bar:
-            j = k + off
-            d[j] = get(j, 0) - c
-            j = _SIGMA - j
-            d[j] = get(j, 0) + c
-    # keys of de carry PACK_ZERO twice; minus a key of E, they are packed
-    de = {}
-    for k in e:
-        for kd, c in _D_OVER_KAPPA:
-            j = k + kd
-            de[j] = de.get(j, 0) + c
-    for k, c in de.items():
-        if c:
-            for k2 in e:
-                j = k - k2
-                d[j] = get(j, 0) + c
-    return _certified(LaurentPoly({k: c for k, c in d.items() if c}))
+    return _built_vertex(vmin, _box_keys(extra), y)
 
 
 # -- symmetrized weights -------------------------------------------------
@@ -368,9 +365,9 @@ def _config_weight_indexed(args):
 
 
 def _quot_weight(args):
-    index, pair, framing_ratio_exps = args
+    index, pair, u = args
     try:
-        return factored_weight(_quot_vertex_char(pair, framing_ratio_exps))
+        return factored_weight(_quot_vertex_char(pair, u))
     except ArithmeticError as e:
         raise ArithmeticError(
             "%s at pair #%d (m=%d)" % (e, index, sum(len(c.core) for c in pair))
@@ -432,33 +429,34 @@ def pt_vertex_series(l1=(), l2=(), l3=(), order=0, jobs=1, dt=None, dt0=None):
     return VertexSeries("PT", legs, num / den)
 
 
-def _framing_ratio_exps(framing, b, a):
-    """Doubled exponent tuple of w_b / w_a."""
+def _framing_offset(framing):
+    """Key offset of the framing ratio u = w2 / w1; symbolic for None."""
     if framing is None:
-        exps = [0, 0, 0, 0, 0]
-        exps[3 + b] += 2
-        exps[3 + a] -= 2
-        return tuple(exps)
-    wb, wa = framing[b], framing[a]
-    ((eb, cb),) = wb.terms()
-    ((ea, ca),) = wa.terms()
-    if cb != 1 or ca != 1:
-        raise ValueError("framing must be a monomial with coefficient 1")
-    return tuple(x - y for x, y in zip(eb, ea))
+        return _pack((0, 0, 0, -2, 2)) - PACK_ZERO
+    if len(framing) != 2:
+        raise ValueError("framing must be two monomials, not %d" % len(framing))
+    for i, w in enumerate(framing):
+        if not isinstance(w, LaurentPoly) or list(w.d.values()) != [1]:
+            raise ValueError("framing weight w%d = %s is not a monomial with coefficient 1"
+                             % (i + 1, w))
+    u = next(iter(framing[1].d)) - next(iter(framing[0].d))
+    if not u:
+        raise ValueError("framing monomials must be distinct")
+    return u
 
 
-def _quot_vertex_char(pair, ratio_exps):
-    """Virtual tangent character of a point of the rank-2 punctual quotient
-    scheme: four bilinear blocks twisted by framing ratios."""
-    cleared = [_cleared_character(c) for c in pair]
-    num = LaurentPoly.zero()
-    for a in range(2):
-        for b in range(2):
-            block = _tangent_block_poly(cleared[b], cleared[a])
-            if a != b:
-                block = block.shift(ratio_exps[(a, b)])
-            num = num + block
-    return _certified_vertex(num)
+def _quot_vertex_char(pair, u):
+    """Virtual tangent character of a point (E_1, E_2) of the rank-2
+    punctual quotient scheme, for the framing ratio u = w2/w1 as a key
+    offset.
+
+    Its four tangent blocks, from E_a to E_b twisted by w_b/w_a, are
+    E_b - sigma(E_a) + (D/kappa) E_b bar(E_a) each. With G = E_1 + u E_2 and
+    W = 1 + u, the E_b terms sum to (sum_b w_b E_b)(sum_a 1/w_a) = bar(W) G,
+    so V is the closed form of _built_vertex with V_min = 0 and Y = bar(W).
+    A numeric framing may make boxes of the two partitions meet in G."""
+    g = _box_keys(pair[0].core) + _box_keys(pair[1].core, u)
+    return _built_vertex(LaurentPoly.zero(), g, ((0, 1), (-u, 1)))
 
 
 def quot2_vertex_series(order, framing=None, jobs=1):
@@ -466,19 +464,15 @@ def quot2_vertex_series(order, framing=None, jobs=1):
 
     With framing None the two framing weights stay symbolic; rigidity then
     demands that every coefficient come out free of them, which is checked
-    and enforced exactly. Explicit framings must be distinct monomials.
+    and enforced exactly. An explicit framing is two distinct monomials
+    (w1, w2) with coefficient 1.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    ratios = {
-        (0, 1): _framing_ratio_exps(framing, 1, 0),
-        (1, 0): _framing_ratio_exps(framing, 0, 1),
-    }
-    if ratios[(0, 1)] == (0, 0, 0, 0, 0):
-        raise ValueError("framing monomials must be distinct")
+    u = _framing_offset(framing)
     coeffs = []
     for m in range(order + 1):
-        items = [(i, pair, ratios) for i, pair in enumerate(enumerate_quot_pairs(m))]
+        items = [(i, pair, u) for i, pair in enumerate(enumerate_quot_pairs(m))]
         fws = _map_jobs(_quot_weight, items, jobs)
         rf = _pair_to_ratfunc(sum_weights(fws))
         if framing is None and rf.uses_vars() & {3, 4}:

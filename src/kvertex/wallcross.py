@@ -226,19 +226,6 @@ def wall_transfer(m, N):
     return _composition_sum("LT", m, N)
 
 
-def W_pm(sign, m, N):
-    """Signed transfer coefficient. '+' crosses from the wall into the PT
-    chamber with the remainder-first word sum and prefactor
-    [N-m-1]! / [N-1]!; its series equals the product of the two
-    kappa^(1/2)-shifted copies of the hilb symbol series. '-' crosses from
-    the DT chamber onto the wall with the all-ascending word sum and
-    prefactor [N-m-1]! / [N]!."""
-    kind = {"+": "B", "-": "ALL"}.get(sign)
-    if kind is None:
-        raise ValueError("sign must be '+' or '-'")
-    return _composition_sum(kind, m, N)
-
-
 def hilb_symbol_series(order):
     """1 + sum_{m>=1} Q^m hilb[m], truncated."""
     coeffs = [FormalExpr.scalar(1)]

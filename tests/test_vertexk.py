@@ -351,6 +351,84 @@ def test_quot2_rejects_equal_framings():
         quot2_vertex_series(1, framing=(w, w))
 
 
+def test_quot2_rejects_non_monomial_framing():
+    w = LaurentPoly.term(1, (2, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match=r"w2 = .* is not a monomial with coefficient 1"):
+        quot2_vertex_series(1, framing=(ONE, ONE + w))
+    with pytest.raises(ValueError, match=r"w1 = .* is not a monomial with coefficient 1"):
+        quot2_vertex_series(1, framing=(w + w, ONE))
+
+
+def test_quot2_rejects_framing_of_one_weight():
+    with pytest.raises(ValueError, match="two monomials, not 1"):
+        quot2_vertex_series(1, framing=(ONE,))
+
+
+def test_quot2_rejects_framing_of_three_weights():
+    w = LaurentPoly.term(1, (2, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="two monomials, not 3"):
+        quot2_vertex_series(1, framing=(ONE, w, w * w))
+
+
+def _tangent_block(to, frm):
+    """Numerator over D = (1-t1)(1-t2)(1-t3) of the bilinear tangent block
+    between reduced characters (a, axes): A_to + bar(A_frm) - A_to
+    bar(A_frm), where A = a times the inactive denominator factors."""
+    from kvertex.boxconfig import _ONE_MINUS_T
+
+    (a_to, axes_to), (a_frm, axes_frm) = to, frm
+    for axis in range(3):
+        if axis not in axes_to:
+            a_to = a_to * _ONE_MINUS_T[axis]
+        if axis not in axes_frm:
+            a_frm = a_frm * _ONE_MINUS_T[axis]
+    a_frm_bar = a_frm.bar()
+    return a_to + a_frm_bar - a_to * a_frm_bar
+
+
+def _four_block_char(pair, framing):
+    """The rank-2 character as four tangent blocks twisted by w_b / w_a,
+    three exact divisions by 1 - t_i and the pole check: the reference for
+    the closed form. The character, or the first broken invariant."""
+    from kvertex.boxconfig import _ONE_MINUS_T, _cleared_character
+    from kvertex.exactalg import divide_exact
+
+    w = framing or (LaurentPoly.term(1, (0, 0, 0, 2, 0)), LaurentPoly.term(1, (0, 0, 0, 0, 2)))
+    cleared = [_cleared_character(c) for c in pair]
+    num = LaurentPoly.zero()
+    for a in range(2):
+        for b in range(2):
+            num = num + _tangent_block(cleared[b], cleared[a]) * w[b] * w[a].bar()
+    for f in _ONE_MINUS_T:
+        num = divide_exact(num, f)
+        if num is None:
+            return "pole not cleared"
+    return _four_step_errors(num) or num
+
+
+@pytest.mark.parametrize("exps", [None, (1, 0, 0), (37, -5, 3), (2100, 0, 1)])
+def test_quot_character_matches_four_blocks(exps):
+    # t^(1,0,0) makes boxes of the two partitions meet, and the certificate
+    # rejects some pairs; t^(37,-5,3) and t^(2100,0,1) lie in two of the
+    # benchmark's framing bands
+    import kvertex.vertexk as vk
+    from kvertex.boxconfig import enumerate_quot_pairs
+
+    framing = exps and (ONE, LaurentPoly.term(1, tuple(2 * x for x in exps) + (0, 0)))
+    u = vk._framing_offset(framing)
+    rejected = 0
+    for m in range(5):
+        for pair in enumerate_quot_pairs(m):
+            expect = _four_block_char(pair, framing)
+            try:
+                got = vk._quot_vertex_char(pair, u).poly
+            except ArithmeticError as e:
+                got = str(e)
+                rejected += 1
+            assert got == expect, (exps, [c.sorted_core() for c in pair])
+    assert (rejected > 0) == (exps == (1, 0, 0))
+
+
 def test_jobs_do_not_change_results():
     a = dt_vertex_series(order=3, jobs=1)
     b = dt_vertex_series(order=3, jobs=2)
@@ -361,11 +439,8 @@ def _quot_weights(m, framing=None):
     import kvertex.vertexk as vk
     from kvertex.boxconfig import enumerate_quot_pairs
 
-    ratios = {
-        (0, 1): vk._framing_ratio_exps(framing, 1, 0),
-        (1, 0): vk._framing_ratio_exps(framing, 0, 1),
-    }
-    return [vk._quot_weight((i, pair, ratios)) for i, pair in enumerate(enumerate_quot_pairs(m))]
+    u = vk._framing_offset(framing)
+    return [vk._quot_weight((i, pair, u)) for i, pair in enumerate(enumerate_quot_pairs(m))]
 
 
 def test_int64_layouts_match_dict_layout(monkeypatch):

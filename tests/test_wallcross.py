@@ -15,7 +15,6 @@ from kvertex.wallcross import (
     HILB,
     PAIR,
     FormalExpr,
-    W_pm,
     _composition_sum,
     dt_side_check,
     hilb_symbol_series,
@@ -141,8 +140,6 @@ def test_wall_transfer_range_errors():
         wall_transfer(0, 5)
     with pytest.raises(ValueError):
         wall_transfer(5, 5)
-    with pytest.raises(ValueError):
-        W_pm("*", 1, 5)
 
 
 def test_pt_transfer_m1_value():
@@ -150,7 +147,7 @@ def test_pt_transfer_m1_value():
     bracket = LaurentPoly.term(-1, (1, 1, 1, 0, 0)) + LaurentPoly.term(-1, (-1, -1, -1, 0, 0))
     for N in (4, 7):
         expect = FormalExpr.symbol(HILB, 1) * RatFunc.from_poly(bracket)
-        assert W_pm("+", 1, N) == expect
+        assert wall_transfer_series(1, N, "B").coefficient(1) == expect
 
 
 def test_pt_transfer_series_is_shifted_product():
