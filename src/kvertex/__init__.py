@@ -4,7 +4,6 @@ combinatorial wall-crossing identities relating them."""
 from .exactalg import LaurentPoly, QSeries, RatFunc
 from .qcombi import (
     check_identity,
-    enumerate_words,
     quantum_factorial,
     quantum_int,
     restricted_word_sum,
@@ -42,7 +41,6 @@ __all__ = [
     "QSeries",
     "RatFunc",
     "check_identity",
-    "enumerate_words",
     "quantum_factorial",
     "quantum_int",
     "restricted_word_sum",

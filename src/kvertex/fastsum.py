@@ -24,14 +24,17 @@ none. Five used lanes get 12 bits each, three (0-leg, legged and
 numerically framed sums, in t1-t3) get 20. The packing depends only on the
 weights, and every sparse or dense numerator carries it.
 
-Each leaf starts sparse, or as a dict when one of its factors leaves its
-lanes. A merge with a dict operand runs on dicts. Otherwise the merge goes
-dense when both operands share per-lane parity and the predicted box of the
-sum has at most _DENSE_FILL cells per operand term, and stays sparse if
-not. When an int64 merge or division raises FastSumUnavailable, that one
-merge or division is redone on dicts, and the numerator stays a dict from
-then on. No layout changes the merge order or the trial divisions, so all
-give the same result.
+Each leaf starts as a dict when one of its factors leaves its lanes, and
+otherwise dense when its product box has at most _DENSE_FILL cells per
+term, sparse if not; a box larger than _DENSE_FILL cells per possible term
+(prod (e + 1) over its binomials of multiplicity e) is never built. A merge
+with a dict operand runs on dicts. Otherwise the merge goes dense when both
+operands share per-lane parity and the predicted box of the sum has at most
+_DENSE_FILL cells per operand term, and stays sparse if not. When an int64
+merge or division raises FastSumUnavailable, that one merge or division is
+redone on dicts, and the numerator stays a dict from then on. No layout
+changes the merge order or the trial divisions, so all give the same
+result.
 
 Exactness of the int64 layouts is kept by range checks: every coefficient
 stays below _COEFF_LIMIT; sparse lanes are checked against each lane's true
@@ -68,9 +71,15 @@ failing division is rejected without a box-sized write. The quotient of
 an exact one is swept: the recursion q(x) = q(x - 2m) - (t^m f)(x) runs
 along the leading lane of m, one slab operation per step.
 
-A dense merge allocates the union box once and grows the operand with
-catch-up binomials inside it, one in-place subtraction per binomial; the
-other operand, if it has catch-ups too, is grown in one box of its own.
+Dense growth is flat. A dense merge allocates the union box once,
+C-contiguous, and grows one operand with its catch-up binomials inside it
+before the other is added; the other, if it has catch-ups too, is grown in
+one box of its own. A dense leaf is its sign in one cell of a zeroed box
+of the product's shape, grown the same way. Each binomial is one in-place
+subtraction of one 1-D slice of the flat buffer from another, shifted by
+the binomial's flat offset. That is exact because the cells of the slice
+outside the growing region are still zero, and the shifted region lies
+inside the buffer.
 """
 
 from __future__ import annotations
@@ -444,37 +453,47 @@ def _growth(grow):
     return g
 
 
-def _grow_into(out, dn, grow):
-    """Write dn times the binomials (mv, e) of grow into out, a zeroed box of
-    the product's shape, and return the product's coefficient bound.
+def _grow_into(buf, at, dn, grow):
+    """Write dn times the binomials (mv, e) of grow into the zeroed box of
+    the product's shape at cell offset at of buf, and return the product's
+    coefficient bound. Every cell of buf outside that box stays zero.
 
-    Each binomial is applied in place. With f in the region R of out,
-    f * (t^m - t^(-m)) is out[y] - out[y + m] over R and R - m (m in
-    cells), so it takes one subtraction of out[R] from out[R - m]; numpy
-    buffers the overlap. dn starts where the last binomial ends at the
-    corner of out."""
-    start = [0] * 5
+    Each binomial is applied in place. With f in the region R of the box,
+    f * (t^m - t^(-m)) is f[y] - f[y + m] over R and R - m (m in cells),
+    one subtraction of buf[R] from buf[R - m]. In the flat buffer that is
+    flat[lo - d : hi - d] -= flat[lo : hi], with [lo, hi) the flat span of
+    R and d = sum m_l * stride_l. It is exact because every cell of the
+    span outside R is still zero, and R - m lies inside buf. buf must be
+    C-contiguous: the whole buffer, never a view, whose flattening would be
+    a copy. dn starts where the last binomial ends at the corner of the
+    box."""
+    flat = np.reshape(buf, -1, copy=False)
+    strides = [prod(buf.shape[l + 1:]) for l in range(5)]
+    start = list(at)
     for mv, e in grow:
         start = [x + e * max(y, 0) for x, y in zip(start, mv)]
     shape = dn.arr.shape
-    out[_box(start, shape)] = dn.arr
+    buf[_box(start, shape)] = dn.arr
     bound = dn.bound
     for mv, e in grow:
+        d = sum(y * s for y, s in zip(mv, strides))
         for _ in range(e):
-            src = out[_box(start, shape)]
-            start = [x - y for x, y in zip(start, mv)]
-            dst = out[_box(start, shape)]
-            np.subtract(dst, src, out=dst)
-            start = [min(x, x + y) for x, y in zip(start, mv)]
+            lo = sum(x * s for x, s in zip(start, strides))
+            hi = lo + sum((n - 1) * s for n, s in zip(shape, strides)) + 1
+            dst = flat[lo - d:hi - d]
+            np.subtract(dst, flat[lo:hi], out=dst)
+            start = [min(x, x - y) for x, y in zip(start, mv)]
             shape = tuple(n + abs(y) for n, y in zip(shape, mv))
-            bound = _gated(out[_box(start, shape)], 2 * bound)
+            bound = _gated(buf[_box(start, shape)], 2 * bound)
     return bound
 
 
 def _dense_sum(a, grow_a, b, grow_b):
     """a * grow_a + b * grow_b, trimmed, for dense a and b whose grown boxes
-    share per-lane parity. a is grown inside the union box; b is added in
-    directly, or grown in a box of its own first when it has catch-ups."""
+    share per-lane parity. a is grown inside the union box before b is
+    added, so the union box is zero outside a's region while it grows; b is
+    added in directly, or grown in a box of its own first when it has
+    catch-ups."""
     if not grow_a:
         a, grow_a, b, grow_b = b, grow_b, a, grow_a
     boxes = []
@@ -486,10 +505,10 @@ def _dense_sum(a, grow_a, b, grow_b):
     lo = tuple(map(min, lo_a, lo_b))
     hi = [max(x + 2 * n, y + 2 * k) for x, n, y, k in zip(lo_a, shape_a, lo_b, shape_b)]
     out = np.zeros(tuple((h - x) // 2 for x, h in zip(lo, hi)), dtype=np.int64)
-    bound_a = _grow_into(out[_box([(x - y) // 2 for x, y in zip(lo_a, lo)], shape_a)], a, grow_a)
+    bound_a = _grow_into(out, [(x - y) // 2 for x, y in zip(lo_a, lo)], a, grow_a)
     if grow_b:
         arr_b = np.zeros(shape_b, dtype=np.int64)
-        bound_b = _grow_into(arr_b, b, grow_b)
+        bound_b = _grow_into(arr_b, (0,) * 5, b, grow_b)
     else:
         arr_b, bound_b = b.arr, b.bound
     view = out[_box([(x - y) // 2 for x, y in zip(lo_b, lo)], shape_b)]
@@ -778,8 +797,12 @@ def _pair_add(a, b, full=False):
 
 
 def _leaf(fw, pk):
-    """FactoredWeight -> (numerator, denominator dict). The numerator is
-    sparse in packing pk, or a dict when a factor leaves its lanes."""
+    """FactoredWeight -> (numerator, denominator dict). The numerator is a
+    dict when a factor leaves the lanes of packing pk. Otherwise it is
+    dense when its product box has at most _DENSE_FILL cells per term, as
+    for a merge, and sparse if not. The product of the binomials (m, e) has
+    at most prod (e + 1) terms, so a larger box is built sparse at once;
+    a smaller one is built dense and its terms counted."""
     grow = []
     den = {}
     for m, e in sorted(fw.fac.items()):
@@ -790,9 +813,20 @@ def _leaf(fw, pk):
     try:
         for m in den:
             _small_from_big(pk, m)  # raises when a denominator factor leaves the lanes
-        one = _Sparse(np.array([pk.zero], dtype=np.int64),
-                      np.array([fw.sign], dtype=np.int64), (0,) * 5, (0,) * 5, pk)
-        arr = _grow(one, [(_small_from_big(pk, m), e) for m, e in grow], _mul_binomial)
+        keys = [(_small_from_big(pk, m), e) for m, e in grow]
+        vecs = [(_lane_vec(pk, k), e) for k, e in keys]
+        g = _growth(vecs)
+        _check_lanes(pk, [-x for x in g], g)
+        if prod(x + 1 for x in g) <= _DENSE_FILL * prod(e + 1 for _, e in grow):
+            buf = np.zeros(tuple(x + 1 for x in g), dtype=np.int64)
+            one = _Dense((0,) * 5, np.full((1,) * 5, fw.sign, dtype=np.int64), 1, pk)
+            arr = _Dense(tuple(-x for x in g), buf, _grow_into(buf, (0,) * 5, one, vecs), pk)
+            if buf.size > _DENSE_FILL * np.count_nonzero(buf):
+                arr = _to_sparse(arr)
+        else:
+            one = _Sparse(np.array([pk.zero], dtype=np.int64),
+                          np.array([fw.sign], dtype=np.int64), (0,) * 5, (0,) * 5, pk)
+            arr = _grow(one, keys, _mul_binomial)
     except FastSumUnavailable:
         arr = _grow(LaurentPoly.const(fw.sign), grow, _poly_mul)
     return arr, den

@@ -9,8 +9,8 @@ plain tuple of ints. Quantum integers [n] carry the sign (-1)^(n-1), so
 Word sums are not taken word by word. Every statistic they need grows,
 as a word is built left to right, by an amount read from the letter
 counts seen so far, and so does each first-occurrence constraint. So one
-recursion over those counts sums all words at once (_statistic_counts);
-enumerate_words, c_word and _word_stats stay as the test oracle.
+recursion over those counts sums all words at once (_statistic_counts).
+The word-by-word definition is the test oracle, in tests/test_qcombi.py.
 """
 
 from __future__ import annotations
@@ -93,69 +93,6 @@ def quantum_factorial(n):
     if n == 0:
         return LaurentPoly.const(1)
     return quantum_factorial(n - 1) * quantum_int(n)
-
-
-# -- words ----------------------------------------------------------------
-
-def enumerate_words(mvec):
-    """All rearrangements of 1^m1 2^m2 ... in lexicographic order."""
-    mvec = tuple(mvec)
-    if any(m < 0 for m in mvec):
-        raise ValueError("multiplicities must be nonnegative")
-    counts = list(mvec)
-    total = sum(counts)
-    word = []
-
-    def rec():
-        if len(word) == total:
-            yield tuple(word)
-            return
-        for letter in range(1, len(counts) + 1):
-            if counts[letter - 1]:
-                counts[letter - 1] -= 1
-                word.append(letter)
-                yield from rec()
-                word.pop()
-                counts[letter - 1] += 1
-
-    return rec()
-
-
-def c_word(w, i, j):
-    """Signed inversion statistic: ordered pairs of an i before a j, minus
-    ordered pairs of a j before an i. Antisymmetric in (i, j)."""
-    if i == j:
-        raise ValueError("letters must differ")
-    seen_i = seen_j = 0
-    c = 0
-    for x in w:
-        if x == i:
-            c -= seen_j
-            seen_i += 1
-        elif x == j:
-            c += seen_i
-            seen_j += 1
-    if not seen_i or not seen_j:
-        raise ValueError("both letters must occur in the word")
-    return c
-
-
-def _word_stats(w, nletters):
-    """One pass: first occurrences o_i and the sums S_i = sum_{j>i} c_{i,j}."""
-    o = [0] * (nletters + 1)
-    s = [0] * (nletters + 1)
-    seen = [0] * (nletters + 1)
-    for p, x in enumerate(w, start=1):
-        if not o[x]:
-            o[x] = p
-        for i in range(1, x):
-            if seen[i]:
-                s[i] += seen[i]
-        for j in range(x + 1, nletters + 1):
-            if seen[j]:
-                s[x] -= seen[j]
-        seen[x] += 1
-    return o, s
 
 
 ORDER_KINDS = ("GT", "LT", "B", "ALL")

@@ -9,11 +9,8 @@ from kvertex import qcombi
 from kvertex.exactalg import LaurentPoly, kappa_pow
 from kvertex.qcombi import (
     ORDER_KINDS,
-    _word_stats,
-    c_word,
     check_identity,
     compositions,
-    enumerate_words,
     multisets_le3,
     parse_partition,
     partition,
@@ -112,6 +109,69 @@ def test_quantum_factorial():
     assert quantum_factorial(3) == quantum_int(2) * quantum_int(3)
     with pytest.raises(ValueError):
         quantum_factorial(-1)
+
+
+# -- the word-by-word oracle ---------------------------------------------
+
+def enumerate_words(mvec):
+    """All rearrangements of 1^m1 2^m2 ... in lexicographic order."""
+    mvec = tuple(mvec)
+    if any(m < 0 for m in mvec):
+        raise ValueError("multiplicities must be nonnegative")
+    counts = list(mvec)
+    total = sum(counts)
+    word = []
+
+    def rec():
+        if len(word) == total:
+            yield tuple(word)
+            return
+        for letter in range(1, len(counts) + 1):
+            if counts[letter - 1]:
+                counts[letter - 1] -= 1
+                word.append(letter)
+                yield from rec()
+                word.pop()
+                counts[letter - 1] += 1
+
+    return rec()
+
+
+def c_word(w, i, j):
+    """Signed inversion statistic: ordered pairs of an i before a j, minus
+    ordered pairs of a j before an i. Antisymmetric in (i, j)."""
+    if i == j:
+        raise ValueError("letters must differ")
+    seen_i = seen_j = 0
+    c = 0
+    for x in w:
+        if x == i:
+            c -= seen_j
+            seen_i += 1
+        elif x == j:
+            c += seen_i
+            seen_j += 1
+    if not seen_i or not seen_j:
+        raise ValueError("both letters must occur in the word")
+    return c
+
+
+def _word_stats(w, nletters):
+    """One pass: first occurrences o_i and the sums S_i = sum_{j>i} c_{i,j}."""
+    o = [0] * (nletters + 1)
+    s = [0] * (nletters + 1)
+    seen = [0] * (nletters + 1)
+    for p, x in enumerate(w, start=1):
+        if not o[x]:
+            o[x] = p
+        for i in range(1, x):
+            if seen[i]:
+                s[i] += seen[i]
+        for j in range(x + 1, nletters + 1):
+            if seen[j]:
+                s[x] -= seen[j]
+        seen[x] += 1
+    return o, s
 
 
 def test_enumerate_words():

@@ -507,7 +507,7 @@ def _numerator(*factors):
     from kvertex.vertexk import FactoredWeight
 
     fw = FactoredWeight(1, {_pack(m): e for m, e in factors})
-    return fastsum._leaf(fw, _pk5())[0]
+    return fastsum._to_sparse(fastsum._leaf(fw, _pk5())[0])
 
 
 def _pk5():
@@ -853,6 +853,81 @@ def test_dense_bound_covers_coefficients():
                     assert fastsum._line_sums_vanish(total.arr, m) == (q is not None)
                 if q is not None:
                     assert fastsum._to_poly(bounded(q)) == exact
+
+
+def test_dense_leaves_match_dict_products():
+    # A leaf is dense when its product box has at most _DENSE_FILL cells per
+    # term, grown from one cell, and sparse otherwise; either way it equals
+    # the dict product, in the three-lane packing of 0-leg sums and the
+    # five-lane one of quot2.
+    import random
+
+    import numpy as np
+
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+    from kvertex.vertexk import FactoredWeight
+
+    def check(fw, pk):
+        arr, den = fastsum._leaf(fw, pk)
+        want = fastsum._grow(LaurentPoly.const(fw.sign),
+                             sorted((m, e) for m, e in fw.fac.items() if e > 0),
+                             fastsum._poly_mul)
+        assert fastsum._to_poly(arr) == want
+        assert den == {m: -e for m, e in fw.fac.items() if e < 0}
+        if isinstance(arr, fastsum._Dense):
+            assert arr.arr.size <= fastsum._DENSE_FILL * np.count_nonzero(arr.arr)
+            assert int(abs(arr.arr).max()) <= arr.bound
+            # the box is tight: every face holds a nonzero coefficient
+            assert fastsum._trim(arr.origin, arr.arr, arr.bound, pk).arr.shape == arr.arr.shape
+        return arr
+
+    rng = random.Random(19)
+    kinds = set()
+    for used, lanes, width in (((0, 1, 2), 3, 2), (tuple(range(5)), 5, 1)):
+        pk = fastsum._packing(used)
+        dirs = [m + (0,) * (5 - lanes) for m in itertools.product(range(-width, width + 1),
+                                                                   repeat=lanes) if m > (0,) * lanes]
+        for _ in range(60):
+            fac = {_pack(m): rng.randint(1, 3) for m in rng.sample(dirs, rng.randint(0, 5))}
+            fac[_pack(rng.choice(dirs))] = -rng.randint(1, 2)
+            arr = check(FactoredWeight(rng.choice((-1, 1)), fac), pk)
+            kinds.add((type(arr).__name__, max(fac.values()) > 1))
+    assert {("_Dense", True), ("_Dense", False), ("_Sparse", False)} <= kinds
+    pk = fastsum._packing((0, 1, 2))
+    # 6^3 cells for at most 16 terms: the box is never built
+    far = [(4, 0, 0, 0, 0), (0, 4, 0, 0, 0), (0, 0, 4, 0, 0), (1, 1, 1, 0, 0)]
+    # 11^2 cells for at most 16 terms, but the terms lie on one line: at
+    # most 11 of them, so the box is built and the leaf is kept sparse
+    line = [(k, k, 0, 0, 0) for k in range(1, 5)]
+    for dirs in (far, line):
+        assert isinstance(check(FactoredWeight(1, {_pack(m): 1 for m in dirs}), pk),
+                          fastsum._Sparse)
+
+
+def test_dense_growth_at_an_interior_offset_wraps_flat_rows():
+    # a grows inside the union box with b, at an interior offset: its
+    # region is narrower than the union box in the trailing lanes, so the
+    # flat span of each shift crosses cells outside the region, which must
+    # stay zero. The directions have negative trailing lanes.
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+
+    def dense(*factors):
+        return fastsum._to_dense(_numerator(*[(m + (0, 0), e) for m, e in factors]))
+
+    a = dense(((1, 0, 0), 1))
+    b = dense(((2, 0, 0), 1), ((0, 5, 0), 1), ((0, 0, 5), 1))
+    for grow_a in ([((1, -1, -1, 0, 0), 1)], [((1, -1, -1, 0, 0), 1), ((0, 1, -1, 0, 0), 2)]):
+        g = fastsum._growth(grow_a)
+        # a's grown box lies strictly inside b's in lanes 1 and 2
+        assert all(x - y > o and x + y + 2 * (n - 1) < o + 2 * (k - 1)
+                   for x, y, n, o, k in list(zip(a.origin, g, a.arr.shape, b.origin,
+                                                 b.arr.shape))[1:3])
+        want = fastsum._grow(fastsum._to_poly(a), [(_pack(m), e) for m, e in grow_a],
+                             fastsum._poly_mul) + fastsum._to_poly(b)
+        for x, gx, y, gy in ((a, grow_a, b, []), (b, [], a, grow_a)):
+            assert fastsum._to_poly(fastsum._dense_sum(x, gx, y, gy)) == want
 
 
 def test_zero_leg_sums_stay_int64(monkeypatch):
