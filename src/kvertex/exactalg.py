@@ -16,13 +16,20 @@ throughout the quantum-integer and fixed-point-weight machinery.
 Internally a monomial is one Python int: five 24-bit offset lanes, most
 significant lane first, so integer comparison is lexicographic comparison
 of doubled-exponent tuples and monomial multiplication is a single integer
-addition. The public API speaks doubled-exponent tuples.
+addition. The public API speaks doubled-exponent tuples. A doubled exponent
+must lie in [-2^23, 2^23): every operation that forms keys raises
+ValueError, naming the variable, rather than let a lane wrap. Products
+check their operands, not their terms: when every lane value of both lies
+in [-2^22, 2^22), no sum of two can leave its lane, and only otherwise are
+the per-lane bounds of the operands added and compared.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from math import gcd
+from operator import add
 
 NVARS = 5
 VAR_NAMES = ("t1", "t2", "t3", "w1", "w2")
@@ -35,12 +42,22 @@ _MASK = (1 << _LANE) - 1
 _SHIFTS = tuple(_LANE * (NVARS - 1 - i) for i in range(NVARS))
 PACK_ZERO = sum(_OFF << s for s in _SHIFTS)
 _PARITY = sum(1 << s for s in _SHIFTS)
+# The top bit of every lane. A lane value lies in [-2^22, 2^22) exactly
+# when the top two bits of its offset form differ.
+_TOPS = sum(1 << (s + _LANE - 1) for s in _SHIFTS)
+
+
+def _lane_error(name):
+    return ValueError("exponent of %s leaves its %d-bit lane" % (name, _LANE))
 
 
 def _pack(exps):
     k = 0
     for e, s in zip(exps, _SHIFTS):
-        k += (e + _OFF) << s
+        e += _OFF
+        if e >> _LANE:  # the exponent is below -2^23 or at least 2^23
+            raise _lane_error(VAR_NAMES[_SHIFTS.index(s)])
+        k += e << s
     return k
 
 
@@ -50,6 +67,35 @@ def _unpack(k):
 
 def _kneg(k):
     return 2 * PACK_ZERO - k
+
+
+def _narrow(keys):
+    """Whether every lane value of the keys lies in [-2^22, 2^22)."""
+    tops = _TOPS
+    for k in keys:
+        tops &= k ^ (k << 1)
+    return tops == _TOPS
+
+
+def _bounds(keys):
+    """Per-lane lists of the least and the greatest lane value of keys."""
+    lanes = list(zip(*map(_unpack, keys)))
+    return [min(x) for x in lanes], [max(x) for x in lanes]
+
+
+def _check_bounds(lo, hi):
+    """Raise ValueError unless every lane bound lies in its lane."""
+    for name, a, b in zip(VAR_NAMES, lo, hi):
+        if a < -_OFF or b >= _OFF:
+            raise _lane_error(name)
+
+
+def _check_sums(a, b):
+    """Raise ValueError unless every key of a plus every key of b, one
+    offset taken away, keeps each lane value in its lane."""
+    if not _narrow(chain(a, b)):
+        (lo_a, hi_a), (lo_b, hi_b) = _bounds(a), _bounds(b)
+        _check_bounds(map(add, lo_a, lo_b), map(add, hi_a, hi_b))
 
 
 def exps_str(exps):
@@ -102,7 +148,7 @@ class LaurentPoly:
 
     @staticmethod
     def var(i, doubled_power=2):
-        return LaurentPoly({PACK_ZERO + (doubled_power << _SHIFTS[i]): 1})
+        return LaurentPoly({_pack([doubled_power if j == i else 0 for j in range(NVARS)]): 1})
 
     @staticmethod
     def from_terms(pairs):
@@ -224,6 +270,7 @@ class LaurentPoly:
         a, b = self.d, other.d
         if len(a) > len(b):
             a, b = b, a
+        _check_sums(a, b)
         d = {}
         get = d.get
         for ka, ca in a.items():
@@ -254,6 +301,7 @@ class LaurentPoly:
     def mul_binomial(self, kplus, cplus, kminus, cminus):
         """Fast multiply by (cplus * t^kplus + cminus * t^kminus), keys
         packed."""
+        _check_sums(self.d, (kplus, kminus))
         d = {}
         get = d.get
         kp = kplus - PACK_ZERO
@@ -275,6 +323,9 @@ class LaurentPoly:
 
     def bar(self):
         """The weight-dual involution: every monomial exponent is negated."""
+        if not _narrow(self.d):
+            lo, hi = _bounds(self.d)
+            _check_bounds([-x for x in hi], [-x for x in lo])
         base = 2 * PACK_ZERO
         return LaurentPoly({base - k: c for k, c in self.d.items()})
 
@@ -291,7 +342,9 @@ class LaurentPoly:
         """Multiply by the monomial with the given doubled exponents."""
         if exps == ZERO_EXPS:
             return self
-        off = _pack(exps) - PACK_ZERO
+        k = _pack(exps)
+        _check_sums(self.d, (k,))
+        off = k - PACK_ZERO
         return LaurentPoly({k + off: c for k, c in self.d.items()})
 
     def content(self):
@@ -316,6 +369,9 @@ class LaurentPoly:
     def subst_t3_cy(self):
         """t3 -> (t1 t2)^(-1), the Calabi-Yau specialization, monomial-wise:
         a key with t3 lane value c moves by -c in the t1, t2 and t3 lanes."""
+        if not _narrow(self.d):
+            lo, hi = _bounds(self.d)
+            _check_bounds([x - hi[2] for x in lo[:2]], [x - lo[2] for x in hi[:2]])
         s2 = _SHIFTS[2]
         unit = (1 << _SHIFTS[0]) + (1 << _SHIFTS[1]) + (1 << s2)
         d = {}

@@ -3,9 +3,12 @@
 Weights are summed by a divide-and-conquer merge tree of factored
 fractions: a numerator over a multiset of weight binomials t^m - t^(-m),
 added over the factorwise lcm denominator and reduced by trial division
-after every merge. Denominators are dicts keyed by the big-packed
-half-weight keys of vertexk.FactoredWeight. A numerator is held in one of
-three layouts:
+after every merge. The tree of n weights merges the tree of the first 2^k,
+2^k the largest power of two below n, with the tree of the rest; it is
+walked depth first, each leaf built when the walk reaches it and each
+child freed once its parent's sum is formed. Denominators are dicts keyed
+by the big-packed half-weight keys of vertexk.FactoredWeight. A numerator
+is held in one of three layouts:
 
 - sparse: numpy int64 arrays of packed monomial keys (one lane per
   variable, most significant first) and coefficients, plus per-lane bounds
@@ -71,15 +74,11 @@ failing division is rejected without a box-sized write. The quotient of
 an exact one is swept: the recursion q(x) = q(x - 2m) - (t^m f)(x) runs
 along the leading lane of m, one slab operation per step.
 
-Dense growth is flat. A dense merge allocates the union box once,
-C-contiguous, and grows one operand with its catch-up binomials inside it
-before the other is added; the other, if it has catch-ups too, is grown in
-one box of its own. A dense leaf is its sign in one cell of a zeroed box
-of the product's shape, grown the same way. Each binomial is one in-place
-subtraction of one 1-D slice of the flat buffer from another, shifted by
-the binomial's flat offset. That is exact because the cells of the slice
-outside the growing region are still zero, and the shifted region lies
-inside the buffer.
+Dense growth is flat (_grow_into): each binomial is one in-place
+subtraction between two shifted 1-D slices of a C-contiguous box, exact
+because the box is still zero outside the growing region. A dense merge
+grows one operand inside the union box before the other is added; a dense
+leaf is its sign in one cell of a zeroed box, grown the same way.
 """
 
 from __future__ import annotations
@@ -263,10 +262,13 @@ def _mul_binomial(arr, m):
 
 
 def _lead(mv):
-    """Index of the leading nonzero lane of a weight direction."""
+    """Index of the leading nonzero lane of a weight direction, which must
+    be positive: vertexk.factored_weight keys every weight so."""
     for i, x in enumerate(mv):
-        if x:
+        if x > 0:
             return i
+        if x:
+            raise ValueError("weight key %r has a negative leading lane" % (mv,))
     raise ValueError("trivial weight direction")
 
 
@@ -319,8 +321,6 @@ def _divide_binomial(arr, m):
     mu = 2 * d
     lead = _lead(mv)
     halfstep = mv[lead]
-    if halfstep < 0:
-        raise ValueError("weight key %r has a negative leading lane" % (mv,))
     step = 2 * halfstep
     if _line_keys_collide(pk, arr.lo, arr.hi, mv, lead):
         lanes = _lanes(pk, keys)
@@ -575,24 +575,21 @@ def _dense_divide(dn, mv):
     b = max(-m, 0) per lane in cells, the product q * (t^m - t^(-m)) has
     f[i] = q[i - a] - q[i - b], so r[i] = q[i - b] obeys
     r[i] = r[i - m] - f[i] over the box of f, and q is r over the box of f
-    shrunk by |m|. The sweep runs along the leading lane L of m, |m_L|
-    slabs per step (for m_L < 0 it divides by t^(-m) - t^m and negates).
+    shrunk by |m|. The sweep runs along the leading lane L of m, which must
+    be positive, m_L slabs per step.
     """
+    lead = _lead(mv)
+    step = mv[lead]
     f = dn.arr
     shape = f.shape
     if any(abs(x) >= n for x, n in zip(mv, shape)) or not _line_sums_vanish(f, mv):
         return None
-    lead = _lead(mv)
-    negate = mv[lead] < 0
-    if negate:
-        mv = tuple(-x for x in mv)
-    step = mv[lead]
     runs = -(-shape[lead] // step)
     if runs > _SUM_LIMIT // dn.bound:
         dn.bound = _max_abs(f)
         if runs > _SUM_LIMIT // dn.bound:
             raise FastSumUnavailable("prefix sums could overflow")
-    r = f.copy() if negate else -f
+    r = -f
     tgt = [slice(max(x, 0), n + min(x, 0)) for x, n in zip(mv, shape)]
     src = [slice(max(-x, 0), n - max(x, 0)) for x, n in zip(mv, shape)]
     for s in range(step, shape[lead], step):
@@ -793,6 +790,8 @@ def _pair_add(a, b, full=False):
     except FastSumUnavailable:
         total = (_grow(_to_poly(arr_a), grow_a, _poly_mul)
                  + _grow(_to_poly(arr_b), grow_b, _poly_mul))
+    # The caller passed its only references, so this frees both children.
+    del a, b, arr_a, arr_b
     return _pair_reduce(total, lcm, None if full else candidates)
 
 
@@ -832,6 +831,17 @@ def _leaf(fw, pk):
     return arr, den
 
 
+def _merge(fws, pk, full):
+    """The merge tree of fws: the first 2^k weights, 2^k the largest power
+    of two below their number, merged with the rest. full goes only to the
+    root's merge, or to the root's own pass when the root is a leaf."""
+    if len(fws) == 1:
+        arr, den = _leaf(fws[0], pk)
+        return _pair_reduce(arr, den) if full else (arr, den)
+    half = 1 << (len(fws) - 1).bit_length() - 1
+    return _pair_add(_merge(fws[:half], pk, False), _merge(fws[half:], pk, False), full)
+
+
 def sum_factored(fws):
     """Divide-and-conquer sum of factored weights; returns the reduced
     (numerator LaurentPoly, denominator factor dict keyed by big-packed
@@ -839,25 +849,14 @@ def sum_factored(fws):
 
     Merging in enumeration order keeps neighbouring configurations (which
     share most of their tangent weights) together, so the intermediate
-    denominators stay close to the factors actually needed.
+    denominators stay close to the factors actually needed. The tree is
+    walked depth first (_merge): at most one partial sum per level is
+    alive, and _pair_add frees both children before its trial divisions.
+    Only a lone leaf needs a full pass of its own: the root merge
+    trial-divides by every factor until one fails, and a binomial that
+    does not divide a numerator cannot divide its exact quotient by others.
     """
     if not fws:
         return LaurentPoly.zero(), {}
-    pk = _sum_packing(fws)
-    pairs = [_leaf(fw, pk) for fw in fws]
-    while len(pairs) > 1:
-        top = len(pairs) == 2
-        merged = []
-        for i in range(0, len(pairs) - 1, 2):
-            merged.append(_pair_add(pairs[i], pairs[i + 1], full=top))
-        if len(pairs) % 2:
-            merged.append(pairs[-1])
-        pairs = merged
-    arr, den = pairs[0]
-    # With more than one weight the top merge ran full=True: it trial-divided
-    # by every factor until one failed, and a binomial that does not divide a
-    # numerator cannot divide its exact quotient by other factors. So only a
-    # single leaf still needs its pass.
-    if len(fws) == 1:
-        arr, den = _pair_reduce(arr, den)
+    arr, den = _merge(fws, _sum_packing(fws), True)
     return _to_poly(arr), den

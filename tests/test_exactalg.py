@@ -298,3 +298,33 @@ def test_canonical_text_and_json():
     assert exps_str(p.terms()[0][0]) == "t1^(1/2) t3^(-3/2) w1"
     j = (T1 + LaurentPoly.const(2)).to_json()
     assert j == [["2", [0, 0, 0, 0, 0]], ["1", [2, 0, 0, 0, 0]]]
+
+
+def test_lanes_never_wrap():
+    # A doubled exponent lives in a 24-bit lane, [-2^23, 2^23): every
+    # operation that would leave it raises and names the variable.
+    from kvertex.exactalg import PACK_ZERO, _pack
+
+    top = 2 ** 23
+    for make, name in (
+        (lambda: LaurentPoly.term(1, (top, 0, 0, 0, 0)), "t1"),
+        (lambda: LaurentPoly.term(1, (top // 2, 0, 0, 0, 0)) ** 2, "t1"),
+        (lambda: LaurentPoly.term(1, (-top, 0, 0, 0, 0)).bar(), "t1"),
+        (lambda: LaurentPoly.from_terms([(1, (0, 0, -top - 1, 0, 0))]), "t3"),
+        (lambda: LaurentPoly.var(3, top), "w1"),
+        (lambda: (ONE + LaurentPoly.term(1, (0, 0, 0, 0, top - 2))).shift((0, 0, 0, 0, 2)), "w2"),
+        (lambda: LaurentPoly.term(1, (0, 1 - top, 0, 0, 0)).mul_binomial(
+            _pack((0, -2, 0, 0, 0)), 1, PACK_ZERO, -1), "t2"),
+        (lambda: LaurentPoly.term(1, (top // 2, 0, -top // 2, 0, 0)).subst_t3_cy(), "t1"),
+    ):
+        with pytest.raises(ValueError, match="exponent of %s leaves its 24-bit lane" % name):
+            make()
+    # the extremes of a lane are kept, also where the fast operand check
+    # cannot decide and the per-lane bounds are compared
+    low = LaurentPoly.term(1, (-top, 0, 0, 0, 0))
+    high = LaurentPoly.term(1, (top - 1, 0, 0, 0, 0))
+    assert (low * LaurentPoly.term(1, (top - 1, 2, 0, 0, 0))).terms() == [((-1, 2, 0, 0, 0), 1)]
+    assert (high.bar() * T1).terms() == [((3 - top, 0, 0, 0, 0), 1)]
+    assert LaurentPoly.term(1, (top // 2 - 1, 0, -top // 2, 0, 0)).subst_t3_cy().terms() == [
+        ((top - 1, top // 2, 0, 0, 0), 1)]
+    assert (low + high).shift((0, 2, 0, 0, 0)) == (low + high) * T2

@@ -740,11 +740,54 @@ def test_sparse_division_exact_check_without_hash_filter(monkeypatch):
 
 
 def test_sparse_division_rejects_negative_leading_lane():
+    # both division kernels; the dense one raises before its line sums,
+    # which would reject this f and return None
     from kvertex import fastsum
 
     f = _numerator(((1, 2, 0, 0, 0), 1))
-    with pytest.raises(ValueError, match=r"\(-1, 2, 0, 0, 0\) has a negative leading lane"):
-        fastsum._divide_binomial(f, _key((-1, 2, 0, 0, 0)))
+    m = (-1, 2, 0, 0, 0)
+    for divide in (lambda: fastsum._divide_binomial(f, _key(m)),
+                   lambda: fastsum._dense_divide(fastsum._to_dense(f), m)):
+        with pytest.raises(ValueError, match=r"\(-1, 2, 0, 0, 0\) has a negative leading lane"):
+            divide()
+
+
+def test_merge_tree_shape(monkeypatch):
+    # sum_factored merges the pairs of the old level loop (pair neighbours,
+    # carry an odd one up, repeat), passes full=True only to the root merge
+    # and gives a lone weight exactly one full pass.
+    from kvertex import fastsum
+    from kvertex.vertexk import FactoredWeight
+
+    def level_loop(items):
+        while len(items) > 1:
+            merged = [(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
+            items = merged + items[len(merged) * 2:]
+        return items[0]
+
+    fulls, reduces = [], []
+
+    def pair_add(a, b, full=False):
+        fulls.append(full)
+        return (a[0], b[0]), {}
+
+    def pair_reduce(arr, den, candidates=None):
+        reduces.append(candidates)
+        return ("reduced", arr), den
+
+    monkeypatch.setattr(fastsum, "_leaf", lambda fw, pk: (fw.sign, {}))
+    monkeypatch.setattr(fastsum, "_pair_add", pair_add)
+    monkeypatch.setattr(fastsum, "_pair_reduce", pair_reduce)
+    monkeypatch.setattr(fastsum, "_to_poly", lambda arr: arr)
+    for n in range(1, 301):
+        fulls.clear()
+        reduces.clear()
+        arr, _ = fastsum.sum_factored([FactoredWeight(i, {}) for i in range(n)])
+        if n == 1:
+            assert arr == ("reduced", 0) and reduces == [None] and fulls == []
+        else:
+            assert arr == level_loop(list(range(n)))
+            assert fulls == [False] * (n - 2) + [True] and reduces == []
 
 
 def _quotient_case(c):
