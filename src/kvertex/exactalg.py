@@ -9,9 +9,12 @@ computation; the one rational scalar a RatFunc can carry is its
 denominator's integer content, `scale`. There is no floating point anywhere
 in this module.
 
-Variables, in order: t1, t2, t3, w1, w2. The distinguished weight
-kappa = t1*t2*t3 gets dedicated helpers since half powers of it appear
-throughout the quantum-integer and fixed-point-weight machinery.
+Variables, in order: t1, t2, t3, u2, u3. The last two are framing
+ratios u_a = w_a/w1 of framing weights w1, w2, w3: a rank-2 sum depends on
+its two framing weights only through u2, and u3 is kept for rank 3. The
+distinguished weight kappa = t1*t2*t3 gets dedicated helpers since half
+powers of it appear throughout the quantum-integer and fixed-point-weight
+machinery.
 
 Internally a monomial is one Python int: five 24-bit offset lanes, most
 significant lane first, so integer comparison is lexicographic comparison
@@ -29,10 +32,10 @@ from __future__ import annotations
 import heapq
 from itertools import chain
 from math import gcd
-from operator import add
+from operator import add, sub
 
 NVARS = 5
-VAR_NAMES = ("t1", "t2", "t3", "w1", "w2")
+VAR_NAMES = ("t1", "t2", "t3", "u2", "u3")
 
 ZERO_EXPS = (0,) * NVARS
 
@@ -191,7 +194,7 @@ class LaurentPoly:
         return self.d.get(_pack(exps), 0)
 
     def coefficient_sum(self):
-        """Value at t1 = t2 = t3 = w1 = w2 = 1 (the rank of a character)."""
+        """Value at t1 = t2 = t3 = u2 = u3 = 1 (the rank of a character)."""
         return sum(self.d.values())
 
     def num_terms(self):
@@ -494,16 +497,23 @@ def divide_exact(p, q):
     not divide p there (a quotient with a non-integer coefficient counts as
     no quotient; for a primitive q none arises, by Gauss's lemma).
 
+    Every term of an exact quotient lies within the per-lane bounds
+    lo_p - lo_q and hi_p - hi_q, so those are checked once, before any path
+    forms a key: a quotient that would leave a lane raises ValueError, as a
+    product would. When every lane value of p and q lies in [-2^22, 2^22),
+    no difference of two can leave its lane and the bounds are not formed.
+
     Two-term divisors with coefficients +-1, the only binomials the
     vertex and wall-crossing code divides by, take a line-recurrence path.
-    Every other divisor takes long division by the lex-leading term after
-    shifting both arguments to genuine polynomials, sound because lex order
-    is a monomial order there.
+    Every other divisor takes long division (_long_division).
     """
     if q.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
         return LaurentPoly({})
+    if not _narrow(chain(p.d, q.d)):
+        (lo_p, hi_p), (lo_q, hi_q) = _bounds(p.d), _bounds(q.d)
+        _check_bounds(map(sub, lo_p, lo_q), map(sub, hi_p, hi_q))
     if len(q.d) == 1:
         ((kq, cq),) = q.d.items()
         off = kq - PACK_ZERO
@@ -518,15 +528,32 @@ def divide_exact(p, q):
         return LaurentPoly(out)
     if len(q.d) == 2 and all(c == 1 or c == -1 for c in q.d.values()):
         return _divide_by_binomial(p, q)
-    sp = _pack(p.monomial_content()) - PACK_ZERO
-    sq = _pack(q.monomial_content()) - PACK_ZERO
-    shift = sp - sq
-    pd = {k - sp: c for k, c in p.d.items()}
-    qd = {k - sq: c for k, c in q.d.items()}
-    qlead = max(qd)
-    qlc = qd[qlead]
-    qrest = [(k - PACK_ZERO, c) for k, c in qd.items() if k != qlead]
+    return _long_division(p, q)
+
+
+def _long_division(p, q):
+    """divide_exact by the lex-leading term of q, for a quotient whose
+    bounds lie in their lanes.
+
+    It emits the quotient's terms in decreasing lex order. A term below
+    the quotient's lower bound lo_p - lo_q proves that there is no
+    quotient. So does a term above 2^23 - 1 - max(hi_q, 0) in a lane: it,
+    or its product with a term of q, would leave the lane, and no term of
+    an exact quotient does, since its products with q's terms lie within
+    p's bounds. So every key formed, quotient or remainder, stays in its
+    lane."""
+    lo_q, hi_q = _bounds(q.d)
+    qlead = max(q.d)
+    qlc = q.d[qlead]
+    lead = _unpack(qlead)
+    # a term k of the remainder gives the quotient term k / lead, so each
+    # lane value of k must lie in [floor, ceil]
+    floor = [a - b + c for a, b, c in zip(p.monomial_content(), lo_q, lead)]
+    ceil = [_OFF - 1 - max(h, 0) + c for h, c in zip(hi_q, lead)]
+    lanes = list(zip(_SHIFTS, floor, ceil))
+    qrest = [(k - PACK_ZERO, c) for k, c in q.d.items() if k != qlead]
     qlead -= PACK_ZERO
+    pd = dict(p.d)
     out = {}
     heap = [-k for k in pd]
     heapq.heapify(heap)
@@ -535,14 +562,15 @@ def divide_exact(p, q):
         c = pd.get(k, 0)
         if not c:
             continue
-        qk = k - qlead
-        uq = _unpack(qk)
-        if any(x < 0 for x in uq):
-            return None
+        for sh, a, b in lanes:
+            x = ((k >> sh) & _MASK) - _OFF
+            if x < a or x > b:
+                return None
         qc, r = divmod(c, qlc)
         if r:
             return None
-        out[qk + shift] = qc
+        qk = k - qlead
+        out[qk] = qc
         del pd[k]
         for dk, dc in qrest:
             nk = qk + dk

@@ -23,9 +23,10 @@ is held in one of three layouts:
 Each sum packs its keys its own way (_Packing): the lanes that some factor
 of its weights uses share 60 key bits evenly, at most 24 bits each (the big
 packing's lane, so conversion to a dict is exact), and the other lanes get
-none. Five used lanes get 12 bits each, three (0-leg, legged and
-numerically framed sums, in t1-t3) get 20. The packing depends only on the
-weights, and every sparse or dense numerator carries it.
+none. Four used lanes (symbolic rank-2 sums, in t1-t3 and the framing
+ratio u2) get 15 bits each, three (0-leg, legged and numerically framed
+sums, in t1-t3) get 20. The packing depends only on the weights, and every
+sparse or dense numerator carries it.
 
 Each leaf starts as a dict when one of its factors leaves its lanes, and
 otherwise dense when its product box has at most _DENSE_FILL cells per
@@ -773,8 +774,11 @@ def _pair_add(a, b, full=False):
     trial-divided here. A final full pass happens once per sum, at the top
     of the merge tree.
     """
-    arr_a, den_a = a
-    arr_b, den_b = b
+    operands = [a[0], b[0]]
+    den_a, den_b = a[1], b[1]
+    # The caller passed its only references, so this leaves both children
+    # to _added alone, which frees them once their sum is formed.
+    del a, b
     lcm = dict(den_a)
     candidates = []
     for m, e in den_b.items():
@@ -785,14 +789,21 @@ def _pair_add(a, b, full=False):
             candidates.append(m)
     grow_a = [(m, e - den_a.get(m, 0)) for m, e in lcm.items() if e > den_a.get(m, 0)]
     grow_b = [(m, e - den_b.get(m, 0)) for m, e in lcm.items() if e > den_b.get(m, 0)]
+    # The sum is an argument only, never a local here, so _pair_reduce holds
+    # its only reference and drops it with its first exact quotient.
+    return _pair_reduce(_added(operands, grow_a, grow_b), lcm, None if full else candidates)
+
+
+def _added(operands, grow_a, grow_b):
+    """arr_a * grow_a + arr_b * grow_b for operands = [arr_a, arr_b], which
+    it empties: in int64, or on dicts when an int64 step is unavailable."""
+    arr_b = operands.pop()
+    arr_a = operands.pop()
     try:
-        total = _int64_add(arr_a, grow_a, arr_b, grow_b)
+        return _int64_add(arr_a, grow_a, arr_b, grow_b)
     except FastSumUnavailable:
-        total = (_grow(_to_poly(arr_a), grow_a, _poly_mul)
-                 + _grow(_to_poly(arr_b), grow_b, _poly_mul))
-    # The caller passed its only references, so this frees both children.
-    del a, b, arr_a, arr_b
-    return _pair_reduce(total, lcm, None if full else candidates)
+        return (_grow(_to_poly(arr_a), grow_a, _poly_mul)
+                + _grow(_to_poly(arr_b), grow_b, _poly_mul))
 
 
 def _leaf(fw, pk):

@@ -12,9 +12,11 @@ where G sums the boxes the fixed point adds. For a DT configuration, G = E
 is the boxes outside the leg cylinders, V_min the character of the minimal
 configuration (the union of the cylinders) and Y = 1 - bar(a0 C). For a
 pair (E_1, E_2) with framing ratio u = w2/w1, G = E_1 + u E_2, V_min = 0
-and Y = bar(W) with W = 1 + u. Only V_min is divided: it is the tangent
-block over D divided exactly by D, and its poles must cancel. The closed
-form is added term by term into one dict keyed by packed monomials.
+and Y = bar(W) with W = 1 + u. A symbolic u is the variable u2, in lane 3
+alone, so a rank-2 weight uses four lanes; a numeric one is a t-monomial.
+Only V_min is divided: it is the tangent block over D divided exactly by
+D, and its poles must cancel. The closed form is added term by term into
+one dict keyed by packed monomials.
 
 Every V is certified on the spot: coefficients must be integers summing to
 zero, there must be no trivial weight, and V must be antisymmetric of weight
@@ -430,9 +432,10 @@ def pt_vertex_series(l1=(), l2=(), l3=(), order=0, jobs=1, dt=None, dt0=None):
 
 
 def _framing_offset(framing):
-    """Key offset of the framing ratio u = w2 / w1; symbolic for None."""
+    """Key offset of the framing ratio u = w2 / w1: the variable u2 of lane
+    3 for None, the t-monomial w2 / w1 for a numeric framing."""
     if framing is None:
-        return _pack((0, 0, 0, -2, 2)) - PACK_ZERO
+        return _pack((0, 0, 0, 2, 0)) - PACK_ZERO
     if len(framing) != 2:
         raise ValueError("framing must be two monomials, not %d" % len(framing))
     for i, w in enumerate(framing):
@@ -462,10 +465,10 @@ def _quot_vertex_char(pair, u):
 def quot2_vertex_series(order, framing=None, jobs=1):
     """Rank-2 degree-0 vertex series over pairs of plane partitions.
 
-    With framing None the two framing weights stay symbolic; rigidity then
-    demands that every coefficient come out free of them, which is checked
-    and enforced exactly. An explicit framing is two distinct monomials
-    (w1, w2) with coefficient 1.
+    With framing None the framing ratio u2 = w2/w1 stays symbolic;
+    rigidity then demands that every coefficient come out free of it, and
+    a coefficient that uses either ratio lane, u2 or u3, is rejected. An
+    explicit framing is two distinct monomials (w1, w2) with coefficient 1.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")

@@ -171,23 +171,24 @@ def test_criterion_09_cy_macmahon(dt0_through_8):
 def test_criterion_10_rank2_factorization(dt0_through_8):
     series, _ = dt0_through_8
     t0 = time.time()
-    quot = quot2_vertex_series(3, jobs=1)
-    dt3 = series.series.truncate(3)
-    up = dt3.subst_q_scale(RatFunc.from_poly(LaurentPoly.term(-1, (1, 1, 1, 0, 0))))
-    down = dt3.subst_q_scale(RatFunc.from_poly(LaurentPoly.term(-1, (-1, -1, -1, 0, 0))))
-    ok = (up * down).eq_through(quot.series, 3)
+    quot = quot2_vertex_series(4, jobs=1)
+    dt4 = series.series.truncate(4)
+    up = dt4.subst_q_scale(RatFunc.from_poly(LaurentPoly.term(-1, (1, 1, 1, 0, 0))))
+    down = dt4.subst_q_scale(RatFunc.from_poly(LaurentPoly.term(-1, (-1, -1, -1, 0, 0))))
+    ok = (up * down).eq_through(quot.series, 4)
     fr1 = (LaurentPoly.const(1), LaurentPoly.term(1, (18, -10, 6, 0, 0)))
     fr2 = (LaurentPoly.term(1, (0, 4, 0, 0, 0)), LaurentPoly.term(1, (-8, 0, 14, 0, 0)))
-    ok = ok and quot2_vertex_series(2, framing=fr1).series.eq_through(quot.series, 2)
-    ok = ok and quot2_vertex_series(2, framing=fr2).series.eq_through(quot.series, 2)
-    report(10, ok, "rank-2 factorization through Q^3 + two framings, %.0fs" % (time.time() - t0))
+    ok = ok and quot2_vertex_series(3, framing=fr1).series.eq_through(quot.series, 3)
+    ok = ok and quot2_vertex_series(3, framing=fr2).series.eq_through(quot.series, 3)
+    report(10, ok, "rank-2 factorization through Q^4 + two framings through Q^3, %.1fs"
+           % (time.time() - t0))
 
 
 def test_criterion_11_bridge(dt0_through_8):
     series, _ = dt0_through_8
     t0 = time.time()
-    ok = rank2_bridge(2, 8, series)
-    report(11, ok, "formal transfer vs quotient-scheme series through Q^2, %.0fs" % (time.time() - t0))
+    ok = rank2_bridge(3, 8, series)
+    report(11, ok, "formal transfer vs quotient-scheme series through Q^3, %.1fs" % (time.time() - t0))
 
 
 def test_criterion_12_pt_stability(dt0_through_8, dt_leg1_through_6):

@@ -295,7 +295,7 @@ def test_cy_constants_are_ints():
 
 def test_canonical_text_and_json():
     p = LaurentPoly.term(1, (1, 0, -3, 2, 0))
-    assert exps_str(p.terms()[0][0]) == "t1^(1/2) t3^(-3/2) w1"
+    assert exps_str(p.terms()[0][0]) == "t1^(1/2) t3^(-3/2) u2"
     j = (T1 + LaurentPoly.const(2)).to_json()
     assert j == [["2", [0, 0, 0, 0, 0]], ["1", [2, 0, 0, 0, 0]]]
 
@@ -311,8 +311,8 @@ def test_lanes_never_wrap():
         (lambda: LaurentPoly.term(1, (top // 2, 0, 0, 0, 0)) ** 2, "t1"),
         (lambda: LaurentPoly.term(1, (-top, 0, 0, 0, 0)).bar(), "t1"),
         (lambda: LaurentPoly.from_terms([(1, (0, 0, -top - 1, 0, 0))]), "t3"),
-        (lambda: LaurentPoly.var(3, top), "w1"),
-        (lambda: (ONE + LaurentPoly.term(1, (0, 0, 0, 0, top - 2))).shift((0, 0, 0, 0, 2)), "w2"),
+        (lambda: LaurentPoly.var(3, top), "u2"),
+        (lambda: (ONE + LaurentPoly.term(1, (0, 0, 0, 0, top - 2))).shift((0, 0, 0, 0, 2)), "u3"),
         (lambda: LaurentPoly.term(1, (0, 1 - top, 0, 0, 0)).mul_binomial(
             _pack((0, -2, 0, 0, 0)), 1, PACK_ZERO, -1), "t2"),
         (lambda: LaurentPoly.term(1, (top // 2, 0, -top // 2, 0, 0)).subst_t3_cy(), "t1"),
@@ -328,3 +328,34 @@ def test_lanes_never_wrap():
     assert LaurentPoly.term(1, (top // 2 - 1, 0, -top // 2, 0, 0)).subst_t3_cy().terms() == [
         ((top - 1, top // 2, 0, 0, 0), 1)]
     assert (low + high).shift((0, 2, 0, 0, 0)) == (low + high) * T2
+
+
+def test_quotients_never_wrap():
+    # An exact quotient has per-lane bounds lo_p - lo_q and hi_p - hi_q;
+    # each division path raises when they leave a lane, and keeps a
+    # quotient at the lane's edge.
+    top = 2 ** 23
+
+    def t1(*doubled):
+        return sum((LaurentPoly.term(1, (e, 0, 0, 0, 0)) for e in doubled), LaurentPoly.zero())
+
+    for p, q in (
+        (t1(top - 2), t1(-4)),
+        (t1(top - 2) - t1(top - 4), t1(-4) - t1(-6)),
+        (t1(top - 6, top - 4, top - 2), t1(-8, -6, -4)),
+    ):
+        with pytest.raises(ValueError, match="exponent of t1 leaves its 24-bit lane"):
+            divide_exact(p, q)
+    assert divide_exact(t1(top - 2), t1(-1)) == t1(top - 1)
+    assert divide_exact(t1(top - 3) - t1(top - 5), t1(-2) - t1(-4)) == t1(top - 1)
+    assert divide_exact(t1(top - 7, top - 5, top - 3), t1(-6, -4, -2)) == t1(top - 1)
+    # long division of a numerator that spans the whole lane
+    quotient = t1(-top, top - 5)
+    assert divide_exact(quotient * t1(0, 2, 4), t1(0, 2, 4)) == quotient
+    assert divide_exact(quotient * t1(0, 2, 4) + ONE, t1(0, 2, 4)) is None
+    # p is what q * t2^((top-1)/2) would be if t2's overflow carried into
+    # t1; long division stops at that quotient term instead of forming it
+    q = LaurentPoly.from_terms([(1, (2, 0, 0, 0, 0)), (1, (0, 4, 0, 0, 0)), (1, (0,) * 5)])
+    p = LaurentPoly.from_terms([(1, (2, top - 1, 0, 0, 0)), (1, (1, 3 - top, 0, 0, 0)),
+                                (1, (0, top - 1, 0, 0, 0))])
+    assert divide_exact(p, q) is None

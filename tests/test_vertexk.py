@@ -393,7 +393,7 @@ def _four_block_char(pair, framing):
     from kvertex.boxconfig import _ONE_MINUS_T, _cleared_character
     from kvertex.exactalg import divide_exact
 
-    w = framing or (LaurentPoly.term(1, (0, 0, 0, 2, 0)), LaurentPoly.term(1, (0, 0, 0, 0, 2)))
+    w = framing or (ONE, LaurentPoly.var(3))  # w1 = 1, w2 = the framing ratio u2
     cleared = [_cleared_character(c) for c in pair]
     num = LaurentPoly.zero()
     for a in range(2):
@@ -484,10 +484,11 @@ def test_int64_layouts_match_dict_layout(monkeypatch):
             if len(fws) > 1:
                 assert layouts == {"LaurentPoly"}
         assert fast[0] == exact[0] and fast[1] == exact[1]
-    # some sums merge only densely (0-leg), some only sparsely (quot2
-    # symbolic), some mix the two int64 layouts (framing t^(5,3,-2)), some
-    # mix sparse and dict merges (framing t^(100001,3,-2) at m=2), and some
-    # merge only on dicts (t^(300001,3,-2) at m=2, t^(600001,3,-2) at m=1, 2)
+    # some sums merge only densely (0-leg), some only sparsely (framing
+    # t^(500,3,-2) at m=2), some mix the two int64 layouts (quot2 symbolic
+    # and framing t^(5,3,-2) at m=2), some mix sparse and dict merges
+    # (framing t^(100001,3,-2) at m=2), and some merge only on dicts
+    # (t^(300001,3,-2) at m=2, t^(600001,3,-2) at m=1, 2)
     assert {
         frozenset({"_Dense"}),
         frozenset({"_Sparse"}),
@@ -584,20 +585,44 @@ def test_division_beyond_lanes_is_redone_on_dicts():
 
 
 def test_five_lane_sums_keep_twelve_bit_keys():
-    # A sum whose weights use all five lanes (symbolic quot2) packs its keys
-    # in five 12-bit lanes, as the hand-built keys of the lane-limit tests
-    # above assume; 0-leg weights use t1-t3 only and get 20-bit lanes.
+    # A sum whose weights use all five lanes packs its keys in five 12-bit
+    # lanes, as the hand-built keys of the lane-limit tests above assume.
+    # Symbolic quot2 weights use t1-t3 and the framing ratio u2 and get four
+    # 15-bit lanes, lane 4 none; 0-leg weights use t1-t3 only and get 20.
     import kvertex.vertexk as vk
     from kvertex import fastsum
     from kvertex.exactalg import _pack
 
-    pk = fastsum._sum_packing(_quot_weights(2))
-    assert pk is _pk5() and pk.bits == (12,) * 5
+    pk = _pk5()
+    assert pk.bits == (12,) * 5
     for e in ((0,) * 5, (1900, -3, 0, 7, -1984), (-1984, 1984, 1, -1, 0)):
         old = sum((x + 2048) << (12 * (4 - i)) for i, x in enumerate(e))
         assert fastsum._small_from_big(pk, _pack(e)) == old
+    assert fastsum._sum_packing(_quot_weights(2)).bits == (15, 15, 15, 15, 0)
     zero_leg = [vk.factored_weight(vertex_character(c)) for c in enumerate_configs((), (), (), 3)]
     assert fastsum._sum_packing(zero_leg).bits == (20, 20, 20, 0, 0)
+
+
+def test_symbolic_quot2_uses_one_ratio_lane(monkeypatch):
+    # A symbolic rank-2 weight depends on the framing only through u2 in
+    # lane 3, and lane 4 (u3) stays empty; the leaves then fill their boxes
+    # and the m = 3 sum merges densely.
+    from kvertex import fastsum
+    from kvertex.exactalg import _unpack
+
+    for m in range(4):
+        for fw in _quot_weights(m):
+            assert all(_unpack(k)[4] == 0 for k in fw.fac), m
+    layouts = []
+    pair_reduce = fastsum._pair_reduce
+
+    def spy(arr, *args):
+        layouts.append(type(arr).__name__)
+        return pair_reduce(arr, *args)
+
+    monkeypatch.setattr(fastsum, "_pair_reduce", spy)
+    fastsum.sum_factored(_quot_weights(3))
+    assert "_Dense" in layouts
 
 
 def test_used_lanes_share_sixty_bits_up_to_the_big_lane():
