@@ -116,7 +116,10 @@ def enumerate_configs(l1=(), l2=(), l3=(), n=0):
     Depth-first extension of the minimal configuration by addable boxes in
     increasing lexicographic order; lexicographic order refines the product
     order on boxes, so every intermediate prefix is itself an order ideal
-    and no configuration is produced twice.
+    and no configuration is produced twice. The walk carries the sorted
+    addable boxes after the last one added: adding box L[i] of that list
+    leaves L[i+1:] addable and makes addable only successors of L[i], which
+    all come after it.
     """
     legs = (tuple(l1), tuple(l2), tuple(l3))
     nmin = min_volume(*legs)
@@ -129,38 +132,25 @@ def enumerate_configs(l1=(), l2=(), l3=(), n=0):
 
     core = set(base)
 
-    def addable_after(last):
-        out = []
-        seen = set()
-        candidates = [(0, 0, 0)]
-        for box in core:
-            a, b, c = box
-            candidates.append((a + 1, b, c))
-            candidates.append((a, b + 1, c))
-            candidates.append((a, b, c + 1))
-        for cand in candidates:
-            if cand in seen or cand in core:
-                continue
-            seen.add(cand)
-            if last is not None and cand <= last:
-                continue
-            if any(x >= limit for x in cand):
-                continue
-            if all(p in core for p in _predecessors(cand)):
-                out.append(cand)
-        out.sort()
-        return out
+    def addable(box):
+        return (box not in core and all(x < limit for x in box)
+                and all(p in core for p in _predecessors(box)))
 
-    def rec(last, remaining):
+    def successors(box):
+        a, b, c = box
+        return [s for s in ((a + 1, b, c), (a, b + 1, c), (a, b, c + 1)) if addable(s)]
+
+    def rec(boxes, remaining):
         if remaining == 0:
             yield BoxConfig(legs, bound, frozenset(core))
             return
-        for cand in addable_after(last):
-            core.add(cand)
-            yield from rec(cand, remaining - 1)
-            core.remove(cand)
+        for i, box in enumerate(boxes):
+            core.add(box)
+            yield from rec(sorted(boxes[i + 1:] + successors(box)), remaining - 1)
+            core.remove(box)
 
-    yield from rec(None, extras)
+    roots = {(0, 0, 0)}.union(*(successors(box) for box in core))
+    yield from rec(sorted(filter(addable, roots)), extras)
 
 
 def plane_partitions(n):

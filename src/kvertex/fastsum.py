@@ -56,24 +56,42 @@ propagated bound could reach _COEFF_LIMIT, and raises FastSumUnavailable
 only when the exact max does; the prefix-sum guard of a division likewise
 recomputes the bound before it raises, so a loose bound never sends a merge
 to dicts. Each step's operands stay below _COEFF_LIMIT, so no int64 value
-wraps.
+wraps, except in the sweep of a dense division that then fails (below).
 
-Division by a weight binomial t^m - t^(-m) is exact or fails (None). The
-sparse layout works line by line along the exponent direction 2m, and the
-division is exact exactly when every line sums to zero. Before any sort,
-each coefficient is weighted by a fixed 64-bit mix of its line key and the
-products are added modulo 2^64: with every line sum zero the total is
-zero, so a nonzero total rejects the division (a zero one proves nothing
-and falls through). Otherwise one stable sort by line key groups the
-lines, with each line in order, since the keys are sorted and the leading
-lane of m is positive; the line sums are checked exactly, and the quotient
-is a segmented negated prefix sum over the dense range of line positions.
-The dense layout first sums every line along m into an accumulator the
-size of a few slabs; the division is exact exactly when all these sums
-vanish (none can wrap once the division's prefix-sum guard holds), so a
-failing division is rejected without a box-sized write. The quotient of
-an exact one is swept: the recursion q(x) = q(x - 2m) - (t^m f)(x) runs
-along the leading lane of m, one slab operation per step.
+Division by a weight binomial t^m - t^(-m) is exact or fails (None), and
+each trial division is first decided by exact point values mod the prime
+_P = 15 * 2^27 + 1 (_Points). Every denominator key m of a sum gets a point
+P_m over F_p on the zero set of t^m - t^(-m): its coordinates are powers of
+the primitive root 31 whose exponents a satisfy <a, m> = (p - 1) / 2, so
+that P_m^m = -1. Evaluation at a point with nonzero coordinates is a ring
+map from the Laurent polynomials to F_p, so a numerator that the binomial
+divides vanishes at P_m; a nonzero value at P_m proves that the division
+fails, and such a division is skipped without reading the numerator. Each
+node of the merge tree carries, per point, a value v and a scale s with
+N(P) = v / s when s != 0 (s = 0: unknown), carried up the tree by a few
+products per point: a leaf is its sign times its binomials at P over 1, a
+merge adds the two fractions v_a G_a / s_a + v_b G_b / s_b (a term whose
+catch-up product G vanishes at P is a known zero), and an exact division by
+m' multiplies s by the value of t^m' - t^(-m') at P. So the point test only
+skips divisions that would fail, and no layout sees a difference. A
+division it cannot rule out (a zero or unknown value) runs in its layout.
+
+The sparse layout works line by line along the exponent direction 2m, and
+the division is exact exactly when every line sums to zero. Before any
+sort, each coefficient is weighted by a fixed 64-bit mix of its line key
+and the products are added modulo 2^64: with every line sum zero the total
+is zero, so a nonzero total rejects the division (a zero one proves
+nothing and falls through). Otherwise one stable sort by line key groups
+the lines, with each line in order, since the keys are sorted and the
+leading lane of m is positive; the line sums are checked exactly, and the
+quotient is a segmented negated prefix sum over the dense range of line
+positions. The dense layout sweeps the recursion q(x) = q(x - 2m) - (t^m
+f)(x) along the leading lane of m, one slab operation per step; the cells
+past the quotient's box then hold the negated line sums along m, and the
+division is exact exactly when they all vanish. A sweep that could wrap is
+trusted only when the prefix-sum guard holds, and a failing one is
+rejected before the guard: int64 sums are exact modulo 2^64, so a nonzero
+wrapped line sum is a nonzero one.
 
 Dense growth is flat (_grow_into): each binomial is one in-place
 subtraction between two shifted 1-D slices of a C-contiguous box, exact
@@ -84,6 +102,7 @@ leaf is its sign in one cell of a zeroed box, grown the same way.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from math import prod
 
@@ -100,7 +119,8 @@ _KEY_BITS = 60
 # combines of two arrays with unique keys or two boxes (bounded by
 # 2 * 2^61 < 2^63) and the running sums inside division, which carry their
 # own dynamic max * run-length bound; int64 arithmetic therefore never wraps,
-# except in the dense line sums, which are trusted only under that bound.
+# except in the sweep of a failing dense division, which is trusted only
+# modulo 2^64.
 _COEFF_LIMIT = 1 << 61
 _SUM_LIMIT = 1 << 62
 # A merge goes dense when its predicted box has at most this many cells per
@@ -517,79 +537,28 @@ def _dense_sum(a, grow_a, b, grow_b):
     return _trim(lo, out, _gated(out, bound_a + bound_b), a.pk)
 
 
-def _line_sums_vanish(f, mv):
-    """Whether f sums to zero along every line i + k m (m in cells) through
-    its box, which holds exactly when f is divisible by t^m - t^(-m).
-
-    Each line is summed into the accumulator cell of its point in the first
-    |m_A| slabs along a lane A where m moves; A is chosen for the smallest
-    accumulator, which is smaller than the box unless every line is only a
-    few cells long. Halfway along A, the lines that have already left the
-    box through another lane are checked, and a nonzero sum among them
-    rejects the division before the second half is read. The sums may
-    wrap, which keeps a zero sum zero."""
-    shape = f.shape
-    choices = []
-    for ax, x in enumerate(mv):
-        if x:
-            runs = -(-shape[ax] // abs(x))
-            acc = tuple(abs(x) if l == ax else n + (runs - 1) * abs(y)
-                        for l, (n, y) in enumerate(zip(shape, mv)))
-            choices.append((prod(acc), ax, runs, acc))
-    _, ax, runs, acc_shape = min(choices)
-    if mv[ax] < 0:
-        mv = tuple(-y for y in mv)
-    step = mv[ax]
-    acc = np.zeros(acc_shape, dtype=np.int64)
-    moving = [l for l, y in enumerate(mv) if y and l != ax]
-    off = [(runs - 1) * max(y, 0) for y in mv]
-    dst = [slice(o, o + n) for o, n in zip(off, shape)]
-    src = [slice(None)] * 5
-    for j in range(runs):
-        s = j * step
-        for l in moving:
-            o = off[l] - j * mv[l]
-            dst[l] = slice(o, o + shape[l])
-        dst[ax] = slice(0, min(step, shape[ax] - s))
-        src[ax] = slice(s, s + step)
-        d = acc[tuple(dst)]
-        np.add(d, f[tuple(src)], out=d)
-        if j == runs // 2:
-            for l in moving:
-                # lines whose point in slab j + 1 lies past lane l's edge
-                edge = off[l] - (j + 1) * mv[l]
-                done = [slice(None)] * 5
-                done[l] = slice(edge + shape[l], None) if mv[l] > 0 else slice(0, edge)
-                if acc[tuple(done)].any():
-                    return False
-    return not acc.any()
-
-
 def _dense_divide(dn, mv):
     """Exact quotient dn / (t^m - t^(-m)) for the lane vector mv of m, or
     None.
 
-    A nonzero line sum along m rejects the division with no box-sized
-    write. A line holds at most runs cells, so once the prefix-sum guard
-    holds no line sum has wrapped, and zero sums mean the division is
-    exact. The sweep then computes the quotient: with a = max(m, 0) and
-    b = max(-m, 0) per lane in cells, the product q * (t^m - t^(-m)) has
-    f[i] = q[i - a] - q[i - b], so r[i] = q[i - b] obeys
-    r[i] = r[i - m] - f[i] over the box of f, and q is r over the box of f
-    shrunk by |m|. The sweep runs along the leading lane L of m, which must
-    be positive, m_L slabs per step.
+    With a = max(m, 0) and b = max(-m, 0) per lane in cells, the product
+    q * (t^m - t^(-m)) has f[i] = q[i - a] - q[i - b], so r[i] = q[i - b]
+    obeys r[i] = r[i - m] - f[i] over the box of f, and q is r over the box
+    of f shrunk by |m|. The sweep runs along the leading lane L of m, which
+    must be positive, m_L slabs per step. The cells of r past q's box are
+    the last cells of the lines along m, and hold their negated sums: the
+    division is exact exactly when they vanish. The sweep wraps only where
+    the prefix-sum guard fails, and a wrapped sum is still exact modulo
+    2^64, so a nonzero one rejects the division before the guard; zero
+    ones are trusted once the guard holds (a line holds at most runs
+    cells).
     """
     lead = _lead(mv)
     step = mv[lead]
     f = dn.arr
     shape = f.shape
-    if any(abs(x) >= n for x, n in zip(mv, shape)) or not _line_sums_vanish(f, mv):
+    if any(abs(x) >= n for x, n in zip(mv, shape)):
         return None
-    runs = -(-shape[lead] // step)
-    if runs > _SUM_LIMIT // dn.bound:
-        dn.bound = _max_abs(f)
-        if runs > _SUM_LIMIT // dn.bound:
-            raise FastSumUnavailable("prefix sums could overflow")
     r = -f
     tgt = [slice(max(x, 0), n + min(x, 0)) for x, n in zip(mv, shape)]
     src = [slice(max(-x, 0), n - max(x, 0)) for x, n in zip(mv, shape)]
@@ -599,6 +568,17 @@ def _dense_divide(dn, mv):
         src[lead] = slice(s - step, s - step + w)
         d = r[tuple(tgt)]
         np.add(d, r[tuple(src)], out=d)
+    for ax, x in enumerate(mv):
+        if x:
+            ends = [slice(None)] * 5
+            ends[ax] = slice(shape[ax] - x, None) if x > 0 else slice(0, -x)
+            if r[tuple(ends)].any():
+                return None
+    runs = -(-shape[lead] // step)
+    if runs > _SUM_LIMIT // dn.bound:
+        dn.bound = _max_abs(f)
+        if runs > _SUM_LIMIT // dn.bound:
+            raise FastSumUnavailable("prefix sums could overflow")
     q = r[tuple(slice(max(-x, 0), max(-x, 0) + n - abs(x)) for x, n in zip(mv, shape))]
     return _Dense(tuple(o + abs(x) for o, x in zip(dn.origin, mv)), q,
                   _gated(q, runs * dn.bound), dn.pk)
@@ -705,14 +685,140 @@ def _poly_mul(num, m):
     return num.mul_binomial(m, 1, _kneg(m), -1)
 
 
-def _divide(arr, m):
-    """Exact quotient arr / (t^m - t^(-m)) for a big-packed key m, or None."""
+def _divide(arr, m, nonzero=False):
+    """Exact quotient arr / (t^m - t^(-m)) for a big-packed key m, or None.
+    nonzero says that arr is nonzero at a point where the binomial
+    vanishes, which proves the division fails: None without reading arr."""
+    if nonzero:
+        return None
     if isinstance(arr, LaurentPoly):
         return divide_exact(arr, _half_binomial(m))
     k = _small_from_big(arr.pk, m)
     if isinstance(arr, _Dense):
         return _dense_divide(arr, _lane_vec(arr.pk, k))
     return _divide_binomial(arr, k)
+
+
+# -- point certificates ---------------------------------------------------------
+
+# The points lie in F_p: p - 1 = 15 * 2^27 has room for many points on each
+# binomial's zero set, 31 generates F_p^*, and a product of two residues
+# fits int64.
+_P = 2013265921
+_ROOT = 31
+# 31^(i * 2^(11 k)) mod _P in row k, for i < 2^11: three lookups raise 31 to
+# any exponent below 2^33.
+_ROOT_BITS = 11
+
+
+@lru_cache(maxsize=None)
+def _root_powers():
+    out = np.ones((3, 1 << _ROOT_BITS), dtype=np.int64)
+    for k in range(3):
+        for j in range(_ROOT_BITS):
+            h = 1 << j
+            out[k, h:2 * h] = out[k, :h] * pow(_ROOT, h << _ROOT_BITS * k, _P) % _P
+    return out
+
+
+def _root_pow(e):
+    """31^e mod _P for an array e of exponents in [0, 2^33)."""
+    t = _root_powers()
+    mask = (1 << _ROOT_BITS) - 1
+    return (t[0][e & mask] * t[1][(e >> _ROOT_BITS) & mask] % _P
+            * t[2][e >> 2 * _ROOT_BITS] % _P)
+
+
+def _egcd(a, b):
+    """(g, u, w) with g = gcd(a, b) >= 0 and u a + w b = g."""
+    u0, u1, w0, w1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1, w0, w1 = u1, u0 - q * u1, w1, w0 - q * w1
+    return (a, u0, w0) if a >= 0 else (-a, -u0, -w0)
+
+
+@lru_cache(maxsize=4096)
+def _point(m):
+    """Exponents a (mod p - 1) of the point P_m of a big-packed key m, with
+    <a, mv> = (p - 1) / 2 for its lane vector mv, so that 31^a lies on the
+    zero set of t^mv - t^(-mv): a = r + k b for a vector r drawn by a
+    generator seeded with m, and b with <b, mv> = g, the lane gcd. None
+    when 2 g does not divide p - 1."""
+    mv = _unpack(m)
+    rng = random.Random(m)
+    r = [rng.randrange(_P - 1) for _ in mv]
+    g, b = 0, []
+    for x in mv:
+        g, u, w = _egcd(g, x)
+        b = [u * y for y in b] + [w]
+    if (_P - 1) % (2 * g):
+        return None
+    k = (_P - 1) // (2 * g) - sum(x * y for x, y in zip(r, mv)) // g
+    return tuple((x + k * y) % (_P - 1) for x, y in zip(r, b))
+
+
+class _Points:
+    """The point certificates of one sum. Each denominator key m of its
+    weights gets a point P_m (column col[m]) on the zero set of
+    B_m = t^m - t^(-m); table[row[k], col[m]] is B_k(P_m) for every factor
+    key k. A node's values are a pair (v, s) of arrays over the points,
+    N(P) = v / s mod _P where s != 0, and s == 0 where N(P) is unknown."""
+
+    __slots__ = ("pk", "row", "col", "table", "one")
+
+    def __init__(self, fws, pk):
+        self.pk = pk
+        keys = sorted({m for fw in fws for m in fw.fac})
+        dens = sorted({m for fw in fws for m, e in fw.fac.items() if e < 0})
+        exps = []
+        self.col = {}
+        for m in dens:
+            a = _point(m)
+            if a is not None:
+                self.col[m] = len(exps)
+                exps.append(a)
+        self.row = {m: i for i, m in enumerate(keys)}
+        lanes = np.array([_unpack(m) for m in keys], dtype=np.int64).reshape(-1, 5)
+        # lanes below 2^22 times exponents below 2^31, five terms: no wrap
+        e = lanes @ np.array(exps, dtype=np.int64).reshape(-1, 5).T % (_P - 1)
+        self.table = (_root_pow(e) - _root_pow(-e % (_P - 1))) % _P
+        self.one = np.ones(len(exps), dtype=np.int64)
+
+    def at(self, grow):
+        """The product of the binomials (m, e) of grow at every point."""
+        x = self.table[[self.row[m] for m, e in grow for _ in range(e)]]
+        if not x.size:
+            return self.one
+        while len(x) > 1:
+            h = len(x) // 2
+            x = np.concatenate((x[:h] * x[h:2 * h] % _P, x[2 * h:]))
+        return x[0]
+
+    def leaf(self, fw):
+        """The values of the leaf of fw: its sign times its numerator
+        binomials, over 1."""
+        return fw.sign * self.at([(m, e) for m, e in fw.fac.items() if e > 0]) % _P, self.one
+
+    def merged(self, val_a, grow_a, val_b, grow_b):
+        """The values of val_a * grow_a + val_b * grow_b. A term whose
+        catch-up product vanishes at a point is zero there, known or not."""
+        (v_a, s_a), (v_b, s_b) = val_a, val_b
+        g_a, g_b = self.at(grow_a), self.at(grow_b)
+        s_a = np.where(g_a == 0, 1, s_a)
+        s_b = np.where(g_b == 0, 1, s_b)
+        return (v_a * g_a % _P * s_b + v_b * g_b % _P * s_a) % _P, s_a * s_b % _P
+
+    def nonzero(self, val, m):
+        """Whether val proves the numerator nonzero at P_m, so that B_m
+        cannot divide it."""
+        j = self.col.get(m)
+        return j is not None and bool(val[1][j]) and bool(val[0][j])
+
+    def divided(self, val, m):
+        """The values after an exact division by B_m."""
+        return val[0], val[1] * self.table[self.row[m]] % _P
 
 
 # -- merge tree ---------------------------------------------------------------
@@ -726,15 +832,16 @@ def _grow(arr, grow, mul):
     return arr
 
 
-def _pair_reduce(arr, den, candidates=None):
+def _pair_reduce(arr, den, val, pts, candidates=None):
     if arr.is_zero():
         den.clear()
-        return arr, den
+        return arr, den, val
     todo = list(den) if candidates is None else [m for m in candidates if m in den]
     for m in todo:
         while den.get(m, 0) > 0:
+            nonzero = pts.nonzero(val, m)
             try:
-                q = _divide(arr, m)
+                q = _divide(arr, m, nonzero)
             except FastSumUnavailable:
                 arr = _to_poly(arr)
                 q = _divide(arr, m)
@@ -742,12 +849,13 @@ def _pair_reduce(arr, den, candidates=None):
                 break
             arr = q
             den[m] -= 1
+            val = pts.divided(val, m)
             if arr.is_zero():
                 den.clear()
-                return arr, den
+                return arr, den, val
         if den.get(m) == 0:
             del den[m]
-    return arr, den
+    return arr, den, val
 
 
 def _int64_add(arr_a, grow_a, arr_b, grow_b):
@@ -765,7 +873,7 @@ def _int64_add(arr_a, grow_a, arr_b, grow_b):
                 _grow(_to_sparse(arr_b), grow_b, _mul_binomial))
 
 
-def _pair_add(a, b, full=False):
+def _pair_add(a, b, pts, full=False):
     """Add two factored fractions over the factorwise lcm denominator.
 
     Cancellation of a prime factor against the new numerator is only
@@ -775,7 +883,7 @@ def _pair_add(a, b, full=False):
     of the merge tree.
     """
     operands = [a[0], b[0]]
-    den_a, den_b = a[1], b[1]
+    (den_a, val_a), (den_b, val_b) = a[1:], b[1:]
     # The caller passed its only references, so this leaves both children
     # to _added alone, which frees them once their sum is formed.
     del a, b
@@ -791,7 +899,9 @@ def _pair_add(a, b, full=False):
     grow_b = [(m, e - den_b.get(m, 0)) for m, e in lcm.items() if e > den_b.get(m, 0)]
     # The sum is an argument only, never a local here, so _pair_reduce holds
     # its only reference and drops it with its first exact quotient.
-    return _pair_reduce(_added(operands, grow_a, grow_b), lcm, None if full else candidates)
+    val = pts.merged(val_a, grow_a, val_b, grow_b)
+    return _pair_reduce(_added(operands, grow_a, grow_b), lcm, val, pts,
+                        None if full else candidates)
 
 
 def _added(operands, grow_a, grow_b):
@@ -842,15 +952,17 @@ def _leaf(fw, pk):
     return arr, den
 
 
-def _merge(fws, pk, full):
+def _merge(fws, pts, full):
     """The merge tree of fws: the first 2^k weights, 2^k the largest power
     of two below their number, merged with the rest. full goes only to the
-    root's merge, or to the root's own pass when the root is a leaf."""
+    root's merge, or to the root's own pass when the root is a leaf. A node
+    is (numerator, denominator dict, values at pts)."""
     if len(fws) == 1:
-        arr, den = _leaf(fws[0], pk)
-        return _pair_reduce(arr, den) if full else (arr, den)
+        arr, den = _leaf(fws[0], pts.pk)
+        val = pts.leaf(fws[0])
+        return _pair_reduce(arr, den, val, pts) if full else (arr, den, val)
     half = 1 << (len(fws) - 1).bit_length() - 1
-    return _pair_add(_merge(fws[:half], pk, False), _merge(fws[half:], pk, False), full)
+    return _pair_add(_merge(fws[:half], pts, False), _merge(fws[half:], pts, False), pts, full)
 
 
 def sum_factored(fws):
@@ -869,5 +981,5 @@ def sum_factored(fws):
     """
     if not fws:
         return LaurentPoly.zero(), {}
-    arr, den = _merge(fws, _sum_packing(fws), True)
+    arr, den, _ = _merge(fws, _Points(fws, _sum_packing(fws)), True)
     return _to_poly(arr), den

@@ -121,6 +121,64 @@ def _preds(box):
     return out
 
 
+def old_enumeration(legs, n):
+    """The enumeration that rescanned the whole core for the addable boxes
+    after the last one at every step, kept as the oracle of the carried
+    list."""
+    from kvertex.boxconfig import _predecessors, leg_reach
+
+    extras = n - min_volume(*legs)
+    if extras < 0:
+        return
+    bound = extras + leg_reach(legs) + 2
+    limit = bound - 2
+    core = set(minimal_core(legs, bound))
+
+    def addable_after(last):
+        out = []
+        seen = set()
+        candidates = [(0, 0, 0)]
+        for a, b, c in core:
+            candidates += [(a + 1, b, c), (a, b + 1, c), (a, b, c + 1)]
+        for cand in candidates:
+            if cand in seen or cand in core:
+                continue
+            seen.add(cand)
+            if last is not None and cand <= last:
+                continue
+            if any(x >= limit for x in cand):
+                continue
+            if all(p in core for p in _predecessors(cand)):
+                out.append(cand)
+        return sorted(out)
+
+    def rec(last, remaining):
+        if remaining == 0:
+            yield BoxConfig(legs, bound, frozenset(core))
+            return
+        for cand in addable_after(last):
+            core.add(cand)
+            yield from rec(cand, remaining - 1)
+            core.remove(cand)
+
+    yield from rec(None, extras)
+
+
+def test_carried_addable_list_matches_old_enumeration():
+    # every leg triple over five small legs through n_min + 3, and the
+    # 0-leg volumes through 8: the same configurations in the same order
+    small = ((), (1,), (2,), (1, 1), (2, 1))
+    cases = [(legs, n) for legs in itertools.product(small, repeat=3)
+             for n in range(min_volume(*legs), min_volume(*legs) + 4)]
+    cases += [(((), (), ()), n) for n in range(9)]
+    total = 0
+    for legs, n in cases:
+        configs = list(enumerate_configs(*legs, n=n))
+        assert configs == list(old_enumeration(legs, n)), (legs, n)
+        total += len(configs)
+    assert total > 5000
+
+
 def test_single_leg_examples():
     assert min_volume((1,)) == 0
     cyl = list(enumerate_configs((1,), (), (), 0))

@@ -518,6 +518,26 @@ def _pk5():
     return fastsum._packing(tuple(range(5)))
 
 
+def _unknown(fws, pk):
+    """The points of a sum of fws in packing pk, and values that know
+    nothing at any of them (scale 0), so that every trial division runs."""
+    from kvertex import fastsum
+
+    pts = fastsum._Points(fws, pk)
+    return pts, (0 * pts.one, 0 * pts.one)
+
+
+def _reduce(arr, den):
+    """fastsum._pair_reduce of arr over the denominator dict den, which
+    it changes, with no point value known."""
+    from kvertex import fastsum
+    from kvertex.vertexk import FactoredWeight
+
+    pts, val = _unknown([FactoredWeight(1, {m: -e for m, e in den.items()})], arr.pk)
+    arr, den, _ = fastsum._pair_reduce(arr, den, val, pts)
+    return arr, den
+
+
 def _key(m):
     """Key of the lane vector m in five 12-bit lanes."""
     from kvertex import fastsum
@@ -579,7 +599,7 @@ def test_division_beyond_lanes_is_redone_on_dicts():
     f = _numerator((m, 1), (a, 1), (b, 1))
     with pytest.raises(fastsum.FastSumUnavailable):
         fastsum._divide_binomial(f, _key(m))
-    q, den = fastsum._pair_reduce(f, {key: 2})
+    q, den = _reduce(f, {key: 2})
     assert isinstance(q, LaurentPoly) and den == {key: 1}
     assert q == fastsum._to_poly(_numerator((a, 1), (b, 1)))
 
@@ -765,8 +785,8 @@ def test_sparse_division_exact_check_without_hash_filter(monkeypatch):
 
 
 def test_sparse_division_rejects_negative_leading_lane():
-    # both division kernels; the dense one raises before its line sums,
-    # which would reject this f and return None
+    # both division kernels; the dense one raises before its sweep, whose
+    # line ends would reject this f and return None
     from kvertex import fastsum
 
     f = _numerator(((1, 2, 0, 0, 0), 1))
@@ -792,13 +812,13 @@ def test_merge_tree_shape(monkeypatch):
 
     fulls, reduces = [], []
 
-    def pair_add(a, b, full=False):
+    def pair_add(a, b, pts, full=False):
         fulls.append(full)
-        return (a[0], b[0]), {}
+        return (a[0], b[0]), {}, None
 
-    def pair_reduce(arr, den, candidates=None):
+    def pair_reduce(arr, den, val, pts, candidates=None):
         reduces.append(candidates)
-        return ("reduced", arr), den
+        return ("reduced", arr), den, val
 
     monkeypatch.setattr(fastsum, "_leaf", lambda fw, pk: (fw.sign, {}))
     monkeypatch.setattr(fastsum, "_pair_add", pair_add)
@@ -813,6 +833,79 @@ def test_merge_tree_shape(monkeypatch):
         else:
             assert arr == level_loop(list(range(n)))
             assert fulls == [False] * (n - 2) + [True] and reduces == []
+
+
+def test_points_lie_on_their_binomials():
+    # Each denominator key m gets a point P_m with P_m^m = -1, so its own
+    # binomial vanishes there; a key whose lane gcd g has 2g not dividing
+    # p - 1 = 15 * 2^27 gets none.
+    import random
+
+    import numpy as np
+
+    import kvertex.vertexk as vk
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack
+    from kvertex.vertexk import FactoredWeight
+
+    rng = random.Random(3)
+    e = np.array([rng.randrange(fastsum._P - 1) for _ in range(200)] + [0, fastsum._P - 2])
+    assert fastsum._root_pow(e).tolist() == [pow(31, int(x), fastsum._P) for x in e]
+    keys = [(1, 0, 0), (1, -1, 0), (2, 4, 0), (5, 10, -5), (3 * 5 * 2 ** 18, 0, 0),
+            (2 ** 21, 0, 0), (7, 0, 0), (7, 14, -21), (11, 0, 22)]
+    fac = {_pack(m + (0, 0)): -1 for m in keys}
+    fac[_pack((1, 1, 1, 0, 0))] = 2
+    pts = fastsum._Points([FactoredWeight(1, fac)], fastsum._packing((0, 1, 2)))
+    assert sorted(pts.col) == sorted(_pack(m + (0, 0)) for m in keys[:6])
+    for m, j in pts.col.items():
+        assert pts.table[pts.row[m], j] == 0
+    assert pts.table[pts.row[_pack((1, 1, 1, 0, 0))]].all()
+    for fws in (_quot_weights(2), [vk.factored_weight(vertex_character(c))
+                                   for c in enumerate_configs((), (), (), 4)]):
+        pts = fastsum._Points(fws, fastsum._sum_packing(fws))
+        assert len(pts.col) == len({m for fw in fws for m, x in fw.fac.items() if x < 0})
+        assert all(pts.table[pts.row[m], j] == 0 for m, j in pts.col.items())
+
+
+def test_point_certificates_skip_only_failing_divisions(monkeypatch):
+    # Every trial division that the point values rule out would fail: it
+    # fails divide_exact on dicts. Over 0-leg sums through volume 6, one-leg
+    # sums through n_min + 3 and rank-2 sums through m = 2, symbolic and
+    # framed, each family has divisions ruled out.
+    import kvertex.vertexk as vk
+    from kvertex import fastsum
+    from kvertex.exactalg import divide_exact
+
+    divide = fastsum._divide
+    skipped = []
+    last = [None, None]
+
+    def spy(arr, m, nonzero=False):
+        if nonzero:
+            # the full pass rules out many keys on one numerator
+            if last[0] is not arr:
+                last[:] = arr, fastsum._to_poly(arr)
+            assert divide_exact(last[1], fastsum._half_binomial(m)) is None
+            skipped.append(m)
+        return divide(arr, m, nonzero)
+
+    def weights(legs, n):
+        return [vk.factored_weight(vertex_character(c)) for c in enumerate_configs(*legs, n=n)]
+
+    monkeypatch.setattr(fastsum, "_divide", spy)
+    nmin = min_volume((1,))
+    framing = (ONE, LaurentPoly.term(1, (400, 6, -4, 0, 0)))
+    families = [
+        [weights(((), (), ()), n) for n in range(7)],
+        [weights(((1,), (), ()), n) for n in range(nmin, nmin + 4)],
+        [_quot_weights(m) for m in range(3)],
+        [_quot_weights(m, framing) for m in range(3)],
+    ]
+    for sums in families:
+        skipped.clear()
+        for fws in sums:
+            fastsum.sum_factored(fws)
+        assert skipped
 
 
 def _quotient_case(c):
@@ -831,6 +924,7 @@ def test_coefficient_limit_guard_redoes_steps_on_dicts():
     # a step just below the limit stays dense, whatever its carried bound.
     from kvertex import fastsum
     from kvertex.exactalg import _pack
+    from kvertex.vertexk import FactoredWeight
 
     limit = fastsum._COEFF_LIMIT
     m = (1, 0, 0, 0, 0)
@@ -848,14 +942,15 @@ def test_coefficient_limit_guard_redoes_steps_on_dicts():
                     fastsum._int64_add(x, grow_x, y, grow_y)
             else:
                 assert fastsum._to_poly(fastsum._int64_add(x, grow_x, y, grow_y)) == want
-        num, den = fastsum._pair_add((a, {}), (b, {key: 1}))
+        pts, val = _unknown([FactoredWeight(1, {key: -1})], a.pk)
+        num, den, _ = fastsum._pair_add((a, {}, val), (b, {key: 1}, val), pts)
         assert isinstance(num, LaurentPoly) == reaches
         assert fastsum._to_poly(num) == want and den == {key: 1}
         # add: two terms of c at the same monomial
         a = _sparse((c, (1, 0, 0, 0, 0)), (1, (3, 0, 0, 0, 0)))
         b = _sparse((c, (1, 0, 0, 0, 0)), (1, (5, 0, 0, 0, 0)))
         want = fastsum._to_poly(a) + fastsum._to_poly(b)
-        num, den = fastsum._pair_add((a, {}), (b, {}))
+        num, den, _ = fastsum._pair_add((a, {}, val), (b, {}, val), pts)
         assert isinstance(num, LaurentPoly) == reaches
         assert fastsum._to_poly(num) == want and den == {}
         # quotient: 2c in the quotient, c in the dividend
@@ -864,7 +959,7 @@ def test_coefficient_limit_guard_redoes_steps_on_dicts():
         if reaches:
             with pytest.raises(fastsum.FastSumUnavailable):
                 fastsum._dense_divide(dense, m)
-        num, den = fastsum._pair_reduce(dense, {_pack(m): 1})
+        num, den = _reduce(dense, {_pack(m): 1})
         assert isinstance(num, LaurentPoly) == reaches
         assert fastsum._to_poly(num) == q and den == {}
 
@@ -917,8 +1012,6 @@ def test_dense_bound_covers_coefficients():
                 q = fastsum._dense_divide(total, m)
                 exact = fastsum._divide(want, _pack(m))
                 assert (q is None) == (exact is None)
-                if all(abs(x) < n for x, n in zip(m, total.arr.shape)):
-                    assert fastsum._line_sums_vanish(total.arr, m) == (q is not None)
                 if q is not None:
                     assert fastsum._to_poly(bounded(q)) == exact
 
