@@ -56,7 +56,7 @@ propagated bound could reach _COEFF_LIMIT, and raises FastSumUnavailable
 only when the exact max does; the prefix-sum guard of a division likewise
 recomputes the bound before it raises, so a loose bound never sends a merge
 to dicts. Each step's operands stay below _COEFF_LIMIT, so no int64 value
-wraps, except in the sweep of a dense division that then fails (below).
+wraps, except in the scan of a dense division that then fails (below).
 
 Division by a weight binomial t^m - t^(-m) is exact or fails (None), and
 each trial division is first decided by exact point values mod the prime
@@ -85,13 +85,17 @@ nothing and falls through). Otherwise one stable sort by line key groups
 the lines, with each line in order, since the keys are sorted and the
 leading lane of m is positive; the line sums are checked exactly, and the
 quotient is a segmented negated prefix sum over the dense range of line
-positions. The dense layout sweeps the recursion q(x) = q(x - 2m) - (t^m
-f)(x) along the leading lane of m, one slab operation per step; the cells
-past the quotient's box then hold the negated line sums along m, and the
-division is exact exactly when they all vanish. A sweep that could wrap is
-trusted only when the prefix-sum guard holds, and a failing one is
-rejected before the guard: int64 sums are exact modulo 2^64, so a nonzero
-wrapped line sum is a nonzero one.
+positions. The dense layout divides in place: in the numerator's own
+C-contiguous buffer, which is zero outside its box, a step by m is a fixed
+flat lag d, and the quotient is one reverse prefix sum along the stride-d
+chains of the box's flat span (_dense_divide). The cells where lines along
+m start then hold the line sums, and the division is exact exactly when
+they all vanish; the quotient is a view of the same buffer, and the
+numerator is consumed. A scan that could wrap is trusted only when the
+prefix-sum guard holds, and a failing one is rejected before the guard:
+int64 sums are exact modulo 2^64, so a nonzero wrapped line sum is a
+nonzero one. A division that fails or raises first undoes its scan with one
+flat difference, so the numerator comes back bit-identical.
 
 Dense growth is flat (_grow_into): each binomial is one in-place
 subtraction between two shifted 1-D slices of a C-contiguous box, exact
@@ -119,7 +123,7 @@ _KEY_BITS = 60
 # combines of two arrays with unique keys or two boxes (bounded by
 # 2 * 2^61 < 2^63) and the running sums inside division, which carry their
 # own dynamic max * run-length bound; int64 arithmetic therefore never wraps,
-# except in the sweep of a failing dense division, which is trusted only
+# except in the scan of a failing dense division, which is trusted only
 # modulo 2^64.
 _COEFF_LIMIT = 1 << 61
 _SUM_LIMIT = 1 << 62
@@ -127,6 +131,10 @@ _SUM_LIMIT = 1 << 62
 # operand term: 64 B of box per term, against 16 B per term (before growth
 # and sort scratch) for the sparse arrays, so this is the byte budget too.
 _DENSE_FILL = 8
+# A dense division sums chains of at most this many cells with one add per
+# row of its scan, longer ones with one cumsum, which costs more per cell
+# but not per row: of 32 to 4096, 256 was fastest on the 0-leg Q^6 series.
+_SCAN_ROWS = 256
 
 
 class FastSumUnavailable(Exception):
@@ -411,15 +419,22 @@ class _Dense:
     """Coefficient of the monomial with lane values origin + 2 * index at
     arr[index]. The box is tight: every face holds a nonzero coefficient.
     bound is at least max |coeff| and below _COEFF_LIMIT. pk is the packing
-    of the sum; the dense steps themselves use lane values only."""
+    of the sum; the dense steps themselves use lane values only.
 
-    __slots__ = ("origin", "arr", "bound", "pk")
+    arr is a view of buf, a C-contiguous array that belongs to this node
+    alone and is zero outside arr's box, so that a division can scan the
+    box's flat span in place. An exact division consumes its numerator:
+    the quotient takes over buf, and the numerator's arr and buf become
+    None."""
 
-    def __init__(self, origin, arr, bound, pk):
+    __slots__ = ("origin", "arr", "bound", "pk", "buf")
+
+    def __init__(self, origin, arr, bound, pk, buf):
         self.origin = origin
         self.arr = arr
         self.bound = bound
         self.pk = pk
+        self.buf = buf
 
     def is_zero(self):
         return False
@@ -448,8 +463,10 @@ def _gated(arr, bound):
     return bound
 
 
-def _trim(origin, arr, bound, pk):
-    """Dense numerator over the support of arr, or pk's empty one."""
+def _trim(origin, buf, bound, pk):
+    """Dense numerator over the support of buf, a C-contiguous box that it
+    takes over, or pk's empty one."""
+    arr = buf
     cut = []
     for ax in range(5):
         lo, hi = 0, arr.shape[ax]
@@ -462,7 +479,7 @@ def _trim(origin, arr, bound, pk):
             hi -= 1
         cut.append(slice(lo, hi))
         arr = np.moveaxis(view[lo:hi], 0, ax)
-    return _Dense(tuple(o + 2 * c.start for o, c in zip(origin, cut)), arr, bound, pk)
+    return _Dense(tuple(o + 2 * c.start for o, c in zip(origin, cut)), arr, bound, pk, buf)
 
 
 def _growth(grow):
@@ -537,51 +554,90 @@ def _dense_sum(a, grow_a, b, grow_b):
     return _trim(lo, out, _gated(out, bound_a + bound_b), a.pk)
 
 
+def _lag_scan(span, d):
+    """Reverse prefix sums of the 1-D array span along its stride-d chains,
+    in place: span[k] += span[k + d], from the end down. As a (rows, d)
+    grid, the ragged last row is added into the row above, and the full
+    rows are summed from the bottom by one add per row when they are few,
+    by one cumsum down the grid when they are many."""
+    rows, w = divmod(span.size, d)
+    grid = span[:rows * d].reshape(rows, d)
+    if w:
+        last = grid[-1, :w]
+        np.add(last, span[rows * d:], out=last)
+    if rows > _SCAN_ROWS:
+        up = grid[::-1]
+        np.cumsum(up, axis=0, out=up)
+        return
+    for r in range(rows - 2, -1, -1):
+        np.add(grid[r], grid[r + 1], out=grid[r])
+
+
+def _lag_unscan(span, d):
+    """Undo _lag_scan(span, d): span[k] -= span[k + d] in one flat
+    difference, against the values before any is written."""
+    np.subtract(span[:-d], span[d:], out=span[:-d])
+
+
 def _dense_divide(dn, mv):
     """Exact quotient dn / (t^m - t^(-m)) for the lane vector mv of m, or
-    None.
+    None. An exact division consumes dn; otherwise dn is left as it was.
 
-    With a = max(m, 0) and b = max(-m, 0) per lane in cells, the product
-    q * (t^m - t^(-m)) has f[i] = q[i - a] - q[i - b], so r[i] = q[i - b]
-    obeys r[i] = r[i - m] - f[i] over the box of f, and q is r over the box
-    of f shrunk by |m|. The sweep runs along the leading lane L of m, which
-    must be positive, m_L slabs per step. The cells of r past q's box are
-    the last cells of the lines along m, and hold their negated sums: the
-    division is exact exactly when they vanish. The sweep wraps only where
-    the prefix-sum guard fails, and a wrapped sum is still exact modulo
-    2^64, so a nonzero one rejects the division before the guard; zero
-    ones are trusted once the guard holds (a line holds at most runs
-    cells).
+    With a = max(m, 0) per lane in cells, the product q * (t^m - t^(-m))
+    has f[i] = q[i - a] - q[i - a + m], so r[i] = q[i - a] obeys
+    r[i] = f[i] + r[i + m]: r is the sum of f along the line through i in
+    direction m from i onwards, and q is r over the box of f shrunk by |m|.
+    The cells of r outside q's box, the |m_l|-wide end slabs where a line
+    starts, hold the whole lines' sums: the division is exact exactly when
+    they vanish. In the flat buffer, a step by m is a step by
+    d = sum m_l * stride_l, positive since the leading lane of m is positive
+    and every other lane's |m_l| is below its extent, so r is one reverse
+    prefix sum along the stride-d chains of the box's flat span (_lag_scan),
+    done in place. A chain runs along a line of the box to its end, across
+    cells outside the box, which the buffer holds at zero, and may wrap into
+    the start of another line: each chain is a run of whole lines, so with
+    every line sum zero it gives r exactly, and end slabs that are all zero
+    make every line sum zero, from the last line of each chain back.
+    The scan only adds, so it is exact modulo 2^64 even where it wraps: a
+    nonzero end cell is a nonzero line sum, and rejects the division before
+    the prefix-sum guard; zero ones are trusted once the guard holds (a line
+    holds at most runs cells). An exact quotient leaves the buffer zero
+    outside its box (every line sums to zero) and is a view of dn's buffer.
+    On None or a raise, one flat difference (_lag_unscan), exact modulo
+    2^64 too, gives back dn's coefficients bit for bit.
     """
     lead = _lead(mv)
-    step = mv[lead]
     f = dn.arr
     shape = f.shape
     if any(abs(x) >= n for x, n in zip(mv, shape)):
         return None
-    r = -f
-    tgt = [slice(max(x, 0), n + min(x, 0)) for x, n in zip(mv, shape)]
-    src = [slice(max(-x, 0), n - max(x, 0)) for x, n in zip(mv, shape)]
-    for s in range(step, shape[lead], step):
-        w = min(step, shape[lead] - s)
-        tgt[lead] = slice(s, s + w)
-        src[lead] = slice(s - step, s - step + w)
-        d = r[tuple(tgt)]
-        np.add(d, r[tuple(src)], out=d)
+    runs = -(-shape[lead] // mv[lead])
+    if runs > _SUM_LIMIT // dn.bound:
+        dn.bound = _max_abs(f)
+    buf = dn.buf
+    strides = [s // f.itemsize for s in f.strides]
+    lo = (f.__array_interface__["data"][0] - buf.__array_interface__["data"][0]) // f.itemsize
+    hi = lo + sum((n - 1) * s for n, s in zip(shape, strides)) + 1
+    d = sum(x * s for x, s in zip(mv, strides))
+    span = np.reshape(buf, -1, copy=False)[lo:hi]
+    _lag_scan(span, d)
     for ax, x in enumerate(mv):
         if x:
             ends = [slice(None)] * 5
-            ends[ax] = slice(shape[ax] - x, None) if x > 0 else slice(0, -x)
-            if r[tuple(ends)].any():
+            ends[ax] = slice(0, x) if x > 0 else slice(shape[ax] + x, None)
+            if f[tuple(ends)].any():
+                _lag_unscan(span, d)
                 return None
-    runs = -(-shape[lead] // step)
-    if runs > _SUM_LIMIT // dn.bound:
-        dn.bound = _max_abs(f)
+    try:
         if runs > _SUM_LIMIT // dn.bound:
             raise FastSumUnavailable("prefix sums could overflow")
-    q = r[tuple(slice(max(-x, 0), max(-x, 0) + n - abs(x)) for x, n in zip(mv, shape))]
-    return _Dense(tuple(o + abs(x) for o, x in zip(dn.origin, mv)), q,
-                  _gated(q, runs * dn.bound), dn.pk)
+        q = f[tuple(slice(max(x, 0), max(x, 0) + n - abs(x)) for x, n in zip(mv, shape))]
+        bound = _gated(q, runs * dn.bound)
+    except FastSumUnavailable:
+        _lag_unscan(span, d)
+        raise
+    dn.arr = dn.buf = None
+    return _Dense(tuple(o + abs(x) for o, x in zip(dn.origin, mv)), q, bound, dn.pk, buf)
 
 
 # -- layout choice and conversions ----------------------------------------------
@@ -633,7 +689,7 @@ def _to_dense(arr):
     idx = (lanes - lo[:, None]) >> 1
     out = np.zeros(tuple(idx.max(axis=1) + 1), dtype=np.int64)
     out[tuple(idx)] = arr.coeffs
-    return _Dense(tuple(lo.tolist()), out, _max_abs(arr.coeffs), arr.pk)
+    return _Dense(tuple(lo.tolist()), out, _max_abs(arr.coeffs), arr.pk, out)
 
 
 def _to_sparse(arr):
@@ -939,8 +995,9 @@ def _leaf(fw, pk):
         _check_lanes(pk, [-x for x in g], g)
         if prod(x + 1 for x in g) <= _DENSE_FILL * prod(e + 1 for _, e in grow):
             buf = np.zeros(tuple(x + 1 for x in g), dtype=np.int64)
-            one = _Dense((0,) * 5, np.full((1,) * 5, fw.sign, dtype=np.int64), 1, pk)
-            arr = _Dense(tuple(-x for x in g), buf, _grow_into(buf, (0,) * 5, one, vecs), pk)
+            cell = np.full((1,) * 5, fw.sign, dtype=np.int64)
+            one = _Dense((0,) * 5, cell, 1, pk, cell)
+            arr = _Dense(tuple(-x for x in g), buf, _grow_into(buf, (0,) * 5, one, vecs), pk, buf)
             if buf.size > _DENSE_FILL * np.count_nonzero(buf):
                 arr = _to_sparse(arr)
         else:

@@ -702,18 +702,20 @@ def test_lane_caches_are_per_packing():
     assert fastsum._lane_vec(packings[0], k) != e
 
 
-def _sparse(*terms):
+def _sparse(*terms, pk=None):
     """Sparse fastsum numerator from (coefficient, lane exponents) terms, in
-    five 12-bit lanes."""
+    packing pk, by default five 12-bit lanes."""
     import numpy as np
 
     from kvertex import fastsum
+    from kvertex.exactalg import _pack
 
-    terms = sorted((_key(e), c) for c, e in terms)
-    lanes = list(zip(*[fastsum._lane_vec(_pk5(), k) for k, _ in terms]))
+    pk = pk or _pk5()
+    terms = sorted((fastsum._small_from_big(pk, _pack(e)), c) for c, e in terms)
+    lanes = list(zip(*[fastsum._lane_vec(pk, k) for k, _ in terms]))
     return fastsum._Sparse(np.array([k for k, _ in terms], dtype=np.int64),
                            np.array([c for _, c in terms], dtype=np.int64),
-                           tuple(map(min, lanes)), tuple(map(max, lanes)), _pk5())
+                           tuple(map(min, lanes)), tuple(map(max, lanes)), pk)
 
 
 def _sparse_division_cases():
@@ -785,7 +787,7 @@ def test_sparse_division_exact_check_without_hash_filter(monkeypatch):
 
 
 def test_sparse_division_rejects_negative_leading_lane():
-    # both division kernels; the dense one raises before its sweep, whose
+    # both division kernels; the dense one raises before its scan, whose
     # line ends would reject this f and return None
     from kvertex import fastsum
 
@@ -985,6 +987,11 @@ def test_dense_bound_covers_coefficients():
     def grow(factors, key=lambda m: m):
         return [(key(m), factors.count(m)) for m in set(factors)]
 
+    def private(dn):
+        # an exact division consumes its numerator, so each key divides a copy
+        buf = dn.arr.copy()
+        return fastsum._Dense(dn.origin, buf, dn.bound, dn.pk, buf)
+
     f, m, q = _quotient_case(3)
     assert fastsum._to_poly(bounded(fastsum._dense_divide(bounded(fastsum._to_dense(f)), m))) == q
     rng = random.Random(5)
@@ -1009,11 +1016,119 @@ def test_dense_bound_covers_coefficients():
                 continue
             assert fastsum._to_poly(bounded(total)) == want
             for m in set(common + xs + ys):
-                q = fastsum._dense_divide(total, m)
+                q = fastsum._dense_divide(private(total), m)
                 exact = fastsum._divide(want, _pack(m))
                 assert (q is None) == (exact is None)
                 if q is not None:
                     assert fastsum._to_poly(bounded(q)) == exact
+
+
+def test_dense_division_scans_in_place(monkeypatch):
+    # The in-place lag scan agrees with divide_exact on dicts, over random
+    # dense products in the three-lane packing of 0-leg sums and the
+    # four-lane one of symbolic quot2, each divided by its factors in turn
+    # (quotients are views at interior offsets of one buffer) until a
+    # division fails. The directions include negative trailing lanes, the
+    # last unit vector and twice it (lags d = 1 and 2) and the first one (d
+    # a whole plane of the buffer); spans with and without a ragged last
+    # row, and chains on both sides of _SCAN_ROWS, all occur.
+    import random
+
+    import numpy as np
+
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack, divide_exact
+
+    scans = []
+    lag_scan = fastsum._lag_scan
+
+    def spy(span, d):
+        scans.append((d, span.size % d != 0, span.size // d > fastsum._SCAN_ROWS))
+        lag_scan(span, d)
+
+    monkeypatch.setattr(fastsum, "_lag_scan", spy)
+    rng = random.Random(23)
+    for lanes, width in ((3, 3), (4, 2)):
+        pk = fastsum._packing(tuple(range(lanes)))
+        pad = (0,) * (5 - lanes)
+        last = (0,) * (lanes - 1) + (1,)
+        special = [(1,) + (0,) * (lanes - 1), last, tuple(2 * x for x in last),
+                   (1, -1) + (0,) * (lanes - 2), (0, 1, -2) + (0,) * (lanes - 3),
+                   (1, 0, -1) + (0,) * (lanes - 3)]
+        dirs = [m for m in itertools.product(range(-2, 3), repeat=lanes) if m > (0,) * lanes]
+        exact, failed = set(), 0
+        for _ in range(40):
+            g = LaurentPoly.from_terms(
+                (rng.choice((-1, 1)) * rng.randint(1, 99),
+                 tuple(2 * rng.randrange(width) for _ in range(lanes)) + pad)
+                for _ in range(rng.randint(1, 12)))
+            if g.is_zero():
+                continue
+            factors = rng.sample(special, 2) + rng.sample(dirs, rng.randint(0, 2))
+            factors += rng.sample(factors, rng.randint(0, 2))
+            f = fastsum._grow(g, [(_pack(m + pad), 1) for m in factors], fastsum._poly_mul)
+            dn = fastsum._to_dense(_sparse(*[(c, x) for x, c in f.terms()], pk=pk))
+            keys = rng.sample(factors, len(factors)) + [rng.choice(special + dirs)]
+            for m in keys:
+                want = divide_exact(f, fastsum._half_binomial(_pack(m + pad)))
+                buf = dn.buf
+                before = buf.copy()
+                ran = len(scans)
+                q = fastsum._dense_divide(dn, m + pad)
+                if want is None:
+                    assert q is None
+                    assert np.array_equal(buf, before) and dn.buf is buf
+                    assert fastsum._to_poly(dn) == f
+                    failed += len(scans) > ran
+                    break
+                assert fastsum._to_poly(q) == want
+                # the quotient is a view of its numerator's buffer, zero
+                # outside its box, and the numerator is spent
+                assert q.buf is buf and np.shares_memory(q.arr, buf)
+                assert np.count_nonzero(buf) == np.count_nonzero(q.arr)
+                with pytest.raises(AttributeError):
+                    fastsum._dense_divide(dn, m + pad)
+                exact.add(m)
+                dn, f = q, want
+        assert set(special) <= exact and failed
+    assert {1, 2} <= {d for d, _, _ in scans}
+    assert {(ragged, long) for _, ragged, long in scans} == {(False, False), (True, False),
+                                                             (False, True), (True, True)}
+
+
+def test_dense_division_rejects_before_its_guard():
+    # On one line along m of coefficients +-c, c just below the coefficient
+    # limit, the scan wraps int64 (partial sums reach -5c) and runs * bound
+    # passes the prefix-sum guard. With a nonzero line sum the end cell
+    # rejects the division first, exact modulo 2^64: None, no raise. With a
+    # zero one the guard raises; either way the buffer comes back
+    # bit-identical, and the merge tree redoes the division on dicts.
+    import numpy as np
+
+    from kvertex import fastsum
+    from kvertex.exactalg import _pack, divide_exact
+
+    c = fastsum._COEFF_LIMIT - 1
+    m = (1, 0, 0, 0, 0)
+    pk = fastsum._packing((0, 1, 2))
+    for tail, divides in ((1, False), (0, True)):
+        line = [c] * 5 + [-c] * 4 + [-c + tail]
+        buf = np.array(line, dtype=np.int64).reshape(10, 1, 1, 1, 1)
+        before = buf.copy()
+        dn = fastsum._Dense((0,) * 5, buf, c, pk, buf)
+        assert 10 * c > fastsum._SUM_LIMIT
+        f = fastsum._to_poly(dn)
+        want = divide_exact(f, fastsum._half_binomial(_pack(m)))
+        assert (want is not None) == divides
+        if divides:
+            with pytest.raises(fastsum.FastSumUnavailable, match="prefix sums could overflow"):
+                fastsum._dense_divide(dn, m)
+        else:
+            assert fastsum._dense_divide(dn, m) is None
+        assert np.array_equal(buf, before) and dn.arr is buf
+        if divides:
+            q, den = _reduce(dn, {_pack(m): 1})
+            assert isinstance(q, LaurentPoly) and q == want and den == {}
 
 
 def test_dense_leaves_match_dict_products():
