@@ -924,6 +924,8 @@ def test_coefficient_limit_guard_redoes_steps_on_dicts():
     # Dense steps whose coefficients reach 2^61 raise FastSumUnavailable,
     # and the merge tree redoes that step on dicts with the same result;
     # a step just below the limit stays dense, whatever its carried bound.
+    import numpy as np
+
     from kvertex import fastsum
     from kvertex.exactalg import _pack
     from kvertex.vertexk import FactoredWeight
@@ -959,8 +961,11 @@ def test_coefficient_limit_guard_redoes_steps_on_dicts():
         f, m, q = _quotient_case(c)
         dense = fastsum._to_dense(f)
         if reaches:
-            with pytest.raises(fastsum.FastSumUnavailable):
+            before = dense.buf.copy()
+            with pytest.raises(fastsum.FastSumUnavailable, match="coefficient out of range"):
                 fastsum._dense_divide(dense, m)
+            # the coefficient gate raises after the scan, which is undone
+            assert np.array_equal(dense.buf, before) and dense.arr is dense.buf
         num, den = _reduce(dense, {_pack(m): 1})
         assert isinstance(num, LaurentPoly) == reaches
         assert fastsum._to_poly(num) == q and den == {}
@@ -1027,11 +1032,12 @@ def test_dense_division_scans_in_place(monkeypatch):
     # The in-place lag scan agrees with divide_exact on dicts, over random
     # dense products in the three-lane packing of 0-leg sums and the
     # four-lane one of symbolic quot2, each divided by its factors in turn
-    # (quotients are views at interior offsets of one buffer) until a
-    # division fails. The directions include negative trailing lanes, the
-    # last unit vector and twice it (lags d = 1 and 2) and the first one (d
-    # a whole plane of the buffer); spans with and without a ragged last
-    # row, and chains on both sides of _SCAN_ROWS, all occur.
+    # (quotients are views at interior offsets of one buffer) and by one
+    # more direction; a failed division leaves the numerator to the next.
+    # The directions include negative trailing lanes, the last unit vector
+    # and twice it (lags d = 1 and 2) and the first one (d a whole plane of
+    # the buffer); spans with and without a ragged last row, and chains on
+    # both sides of _SCAN_ROWS, all occur in exact and in failing divisions.
     import random
 
     import numpy as np
@@ -1039,7 +1045,7 @@ def test_dense_division_scans_in_place(monkeypatch):
     from kvertex import fastsum
     from kvertex.exactalg import _pack, divide_exact
 
-    scans = []
+    scans, kinds = [], set()
     lag_scan = fastsum._lag_scan
 
     def spy(span, d):
@@ -1056,17 +1062,23 @@ def test_dense_division_scans_in_place(monkeypatch):
                    (1, -1) + (0,) * (lanes - 2), (0, 1, -2) + (0,) * (lanes - 3),
                    (1, 0, -1) + (0,) * (lanes - 3)]
         dirs = [m for m in itertools.product(range(-2, 3), repeat=lanes) if m > (0,) * lanes]
-        exact, failed = set(), 0
+        exact = set()
         for _ in range(40):
+            # some products are long in the last lane, for long chains at d = 1, 2
+            widths = (width,) * (lanes - 1) + (rng.choice((width, 300)),)
             g = LaurentPoly.from_terms(
                 (rng.choice((-1, 1)) * rng.randint(1, 99),
-                 tuple(2 * rng.randrange(width) for _ in range(lanes)) + pad)
+                 tuple(2 * rng.randrange(w) for w in widths) + pad)
                 for _ in range(rng.randint(1, 12)))
             if g.is_zero():
                 continue
             factors = rng.sample(special, 2) + rng.sample(dirs, rng.randint(0, 2))
             factors += rng.sample(factors, rng.randint(0, 2))
             f = fastsum._grow(g, [(_pack(m + pad), 1) for m in factors], fastsum._poly_mul)
+            if rng.random() < 0.25:
+                # doubling one term leaves f divisible by no binomial
+                x, c = rng.choice(list(f.terms()))
+                f = f + LaurentPoly.from_terms([(c, x)])
             dn = fastsum._to_dense(_sparse(*[(c, x) for x, c in f.terms()], pk=pk))
             keys = rng.sample(factors, len(factors)) + [rng.choice(special + dirs)]
             for m in keys:
@@ -1075,12 +1087,12 @@ def test_dense_division_scans_in_place(monkeypatch):
                 before = buf.copy()
                 ran = len(scans)
                 q = fastsum._dense_divide(dn, m + pad)
+                kinds.update((ragged, long, want is not None) for _, ragged, long in scans[ran:])
                 if want is None:
                     assert q is None
                     assert np.array_equal(buf, before) and dn.buf is buf
                     assert fastsum._to_poly(dn) == f
-                    failed += len(scans) > ran
-                    break
+                    continue
                 assert fastsum._to_poly(q) == want
                 # the quotient is a view of its numerator's buffer, zero
                 # outside its box, and the numerator is spent
@@ -1090,10 +1102,10 @@ def test_dense_division_scans_in_place(monkeypatch):
                     fastsum._dense_divide(dn, m + pad)
                 exact.add(m)
                 dn, f = q, want
-        assert set(special) <= exact and failed
+        assert set(special) <= exact
     assert {1, 2} <= {d for d, _, _ in scans}
-    assert {(ragged, long) for _, ragged, long in scans} == {(False, False), (True, False),
-                                                             (False, True), (True, True)}
+    # every kind of span, exact and failing
+    assert kinds == set(itertools.product((False, True), repeat=3))
 
 
 def test_dense_division_rejects_before_its_guard():
