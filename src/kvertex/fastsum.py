@@ -131,10 +131,14 @@ _SUM_LIMIT = 1 << 62
 # operand term: 64 B of box per term, against 16 B per term (before growth
 # and sort scratch) for the sparse arrays, so this is the byte budget too.
 _DENSE_FILL = 8
-# A dense division sums chains of at most this many cells with one add per
-# row of its scan, longer ones with one cumsum, which costs more per cell
-# but not per row: of 32 to 4096, 256 was fastest on the 0-leg Q^6 series.
-_SCAN_ROWS = 256
+# A dense division's scan at lag d sums its (rows, d) grid by one cumsum
+# down the columns when d is below this, by one add per row when it is not.
+# The cumsum walks each column at a stride of d cells: about 2 ns a cell
+# below 512 cells (a 4 KiB row), 7-9 ns at 1,700; the row adds cost about
+# 0.7 us a row and 0.5 ns a cell. Of 256 to 768 cells, and of switching on
+# the number of rows (256) instead, 512 summed the scans of the 0-leg Q^6
+# and quot2 Q^3 and Q^4 series fastest or within noise of it.
+_SCAN_WIDTH = 512
 
 
 class FastSumUnavailable(Exception):
@@ -558,14 +562,14 @@ def _lag_scan(span, d):
     """Reverse prefix sums of the 1-D array span along its stride-d chains,
     in place: span[k] += span[k + d], from the end down. As a (rows, d)
     grid, the ragged last row is added into the row above, and the full
-    rows are summed from the bottom by one add per row when they are few,
-    by one cumsum down the grid when they are many."""
+    rows are summed from the bottom by one cumsum down the grid when they
+    are narrow, by one add per row when they are wide (_SCAN_WIDTH)."""
     rows, w = divmod(span.size, d)
     grid = span[:rows * d].reshape(rows, d)
     if w:
         last = grid[-1, :w]
         np.add(last, span[rows * d:], out=last)
-    if rows > _SCAN_ROWS:
+    if d < _SCAN_WIDTH:
         up = grid[::-1]
         np.cumsum(up, axis=0, out=up)
         return

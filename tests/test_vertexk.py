@@ -1036,8 +1036,8 @@ def test_dense_division_scans_in_place(monkeypatch):
     # more direction; a failed division leaves the numerator to the next.
     # The directions include negative trailing lanes, the last unit vector
     # and twice it (lags d = 1 and 2) and the first one (d a whole plane of
-    # the buffer); spans with and without a ragged last row, and chains on
-    # both sides of _SCAN_ROWS, all occur in exact and in failing divisions.
+    # the buffer); spans with and without a ragged last row, and lags on
+    # both sides of _SCAN_WIDTH, all occur in exact and in failing divisions.
     import random
 
     import numpy as np
@@ -1049,7 +1049,7 @@ def test_dense_division_scans_in_place(monkeypatch):
     lag_scan = fastsum._lag_scan
 
     def spy(span, d):
-        scans.append((d, span.size % d != 0, span.size // d > fastsum._SCAN_ROWS))
+        scans.append((d, span.size % d != 0, d < fastsum._SCAN_WIDTH))
         lag_scan(span, d)
 
     monkeypatch.setattr(fastsum, "_lag_scan", spy)
@@ -1064,7 +1064,8 @@ def test_dense_division_scans_in_place(monkeypatch):
         dirs = [m for m in itertools.product(range(-2, 3), repeat=lanes) if m > (0,) * lanes]
         exact = set()
         for _ in range(40):
-            # some products are long in the last lane, for long chains at d = 1, 2
+            # some products are long in the last lane, for lags of whole planes
+            # past _SCAN_WIDTH and long chains at d = 1, 2
             widths = (width,) * (lanes - 1) + (rng.choice((width, 300)),)
             g = LaurentPoly.from_terms(
                 (rng.choice((-1, 1)) * rng.randint(1, 99),
@@ -1087,7 +1088,7 @@ def test_dense_division_scans_in_place(monkeypatch):
                 before = buf.copy()
                 ran = len(scans)
                 q = fastsum._dense_divide(dn, m + pad)
-                kinds.update((ragged, long, want is not None) for _, ragged, long in scans[ran:])
+                kinds.update((ragged, narrow, want is not None) for _, ragged, narrow in scans[ran:])
                 if want is None:
                     assert q is None
                     assert np.array_equal(buf, before) and dn.buf is buf
