@@ -20,13 +20,16 @@ is held in one of three layouts:
 - dict: an exact LaurentPoly, multiplied with mul_binomial and divided with
   divide_exact. It holds any exponent and any coefficient.
 
-Each sum packs its keys its own way (_Packing): the lanes that some factor
-of its weights uses share 60 key bits evenly, at most 24 bits each (the big
-packing's lane, so conversion to a dict is exact), and the other lanes get
-none. Four used lanes (symbolic rank-2 sums, in t1-t3 and the framing
-ratio u2) get 15 bits each, three (0-leg, legged and numerically framed
-sums, in t1-t3) get 20. The packing depends only on the weights, and every
-sparse or dense numerator carries it.
+Every int64 kernel takes a weight binomial as the lane vector of its key
+(_lane_vec, which also checks it against the lane limits below), and
+packed keys live only inside the sparse layout. Each sum packs its keys
+its own way (_Packing): the lanes that some factor of its weights uses
+share 60 key bits evenly, at most 24 bits each (the big packing's lane, so
+conversion to a dict is exact), and the other lanes get none. Three used
+lanes (0-leg, legged and numerically framed sums, in t1-t3) get 20 bits
+each, four (symbolic rank-2 sums, in t1-t3 and the framing ratio u2) get
+15. The packing depends only on the weights, and every sparse or dense
+numerator carries it.
 
 Each leaf starts as a dict when one of its factors leaves its lanes, and
 otherwise dense when its product box has at most _DENSE_FILL cells per
@@ -74,28 +77,25 @@ merge adds the two fractions v_a G_a / s_a + v_b G_b / s_b (a term whose
 catch-up product G vanishes at P is a known zero), and an exact division by
 m' multiplies s by the value of t^m' - t^(-m') at P. So the point test only
 skips divisions that would fail, and no layout sees a difference. A
-division it cannot rule out (a zero or unknown value) runs in its layout.
+division it cannot rule out (a zero or unknown value) runs in its layout:
+the points are the only test that rejects a division before its kernel.
 
 The sparse layout works line by line along the exponent direction 2m, and
-the division is exact exactly when every line sums to zero. Before any
-sort, each coefficient is weighted by a fixed 64-bit mix of its line key
-and the products are added modulo 2^64: with every line sum zero the total
-is zero, so a nonzero total rejects the division (a zero one proves
-nothing and falls through). Otherwise one stable sort by line key groups
-the lines, with each line in order, since the keys are sorted and the
-leading lane of m is positive; the line sums are checked exactly, and the
-quotient is a segmented negated prefix sum over the dense range of line
-positions. The dense layout divides in place: in the numerator's own
-C-contiguous buffer, which is zero outside its box, a step by m is a fixed
-flat lag d, and the quotient is one reverse prefix sum along the stride-d
-chains of the box's flat span (_dense_divide). The cells where lines along
-m start then hold the line sums, and the division is exact exactly when
-they all vanish; the quotient is a view of the same buffer, and the
-numerator is consumed. A scan that could wrap is trusted only when the
-prefix-sum guard holds, and a failing one is rejected before the guard:
-int64 sums are exact modulo 2^64, so a nonzero wrapped line sum is a
-nonzero one. A division that fails or raises first undoes its scan with one
-flat difference, so the numerator comes back bit-identical.
+the division is exact exactly when every line sums to zero. One stable
+sort by line key groups the lines, with each line in order, since the keys
+are sorted and the leading lane of m is positive; the line sums are
+checked exactly, and the quotient is a segmented negated prefix sum over
+the dense range of line positions. The dense layout divides in place: in
+the numerator's own C-contiguous buffer, which is zero outside its box, a
+step by m is a fixed flat lag d, and the quotient is one reverse prefix
+sum along the stride-d chains of the box's flat span (_dense_divide). The
+cells where lines along m start then hold the line sums, and the division
+is exact exactly when they all vanish; the quotient is a view of the same
+buffer, and the numerator is consumed. A scan that could wrap is trusted
+only when the prefix-sum guard holds, and a failing one is rejected before
+the guard: int64 sums are exact modulo 2^64, so a nonzero wrapped line sum
+is a nonzero one. A division that fails or raises first undoes its scan
+with one flat difference, so the numerator comes back bit-identical.
 
 Dense growth is flat (_grow_into): each binomial is one in-place
 subtraction between two shifted 1-D slices of a C-contiguous box, exact
@@ -190,22 +190,14 @@ def _sum_packing(fws):
 
 
 @lru_cache(maxsize=4096)
-def _small_from_big(pk, kbig):
-    """Key in packing pk of a big-packed one; raises FastSumUnavailable when
-    an exponent is beyond its lane's limit."""
-    e = _unpack(kbig)
+def _lane_vec(pk, m):
+    """Lane values of a big-packed key m, the form every int64 kernel takes;
+    raises FastSumUnavailable when one is beyond its lane's limit in
+    packing pk."""
+    e = _unpack(m)
     if any(abs(x) > lim for x, lim in zip(e, pk.limits)):
         raise FastSumUnavailable("exponent out of range")
-    k = 0
-    for x, o, s in zip(e, pk.offs, pk.shifts):
-        k += (x + o) << s
-    return k
-
-
-@lru_cache(maxsize=4096)
-def _lane_vec(pk, m):
-    """Lane values of a key in packing pk."""
-    return tuple(((m >> s) & k) - o for s, k, o in zip(pk.shifts, pk.masks, pk.offs))
+    return e
 
 
 def _lanes(pk, keys):
@@ -272,12 +264,12 @@ def _add(a, b):
     return _Sparse(keys, coeffs, tuple(map(min, a.lo, b.lo)), tuple(map(max, a.hi, b.hi)), a.pk)
 
 
-def _mul_binomial(arr, m):
-    """arr * (t^m - t^(-m)) for a key m in arr's packing."""
+def _mul_binomial(arr, mv):
+    """arr * (t^m - t^(-m)) for the lane vector mv of m."""
     if arr.is_zero():
         return arr
     pk = arr.pk
-    am = [abs(x) for x in _lane_vec(pk, m)]
+    am = [abs(x) for x in mv]
     lo = tuple(x - a for x, a in zip(arr.lo, am))
     hi = tuple(x + a for x, a in zip(arr.hi, am))
     if _out_of_lanes(pk, lo, hi):
@@ -286,7 +278,7 @@ def _mul_binomial(arr, m):
         hi = tuple(int(x) + a for x, a in zip(lanes.max(axis=1), am))
         _check_lanes(pk, lo, hi)
     keys, coeffs = arr.keys, arr.coeffs
-    d = m - pk.zero
+    d = sum(x << s for x, s in zip(mv, pk.shifts))
     keys, coeffs = _dedupe(
         np.concatenate((keys + d, keys - d)),
         np.concatenate((coeffs, -coeffs)),
@@ -317,27 +309,9 @@ def _line_keys_collide(pk, lo, hi, mv, lead):
                for i, (x, h, y, k) in enumerate(zip(lo, hi, mv, pk.masks)) if i != lead)
 
 
-# Odd multipliers of the splitmix64 finalizer, the line-key mix of _line_hash.
-_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
-_MIX_SHIFT = np.uint64(31)
-
-
-def _line_hash(base, coeffs, out):
-    """sum_i coeffs[i] * mix(base[i]) mod 2^64, with mix a fixed 64-bit
-    mix of the line key; out, an int64 array of base's size, is overwritten.
-
-    The sum is sum_L mix(L) * (sum of line L's coefficients), so it is 0
-    when every line sums to zero, and a nonzero value proves that some
-    line does not."""
-    h = out.view(np.uint64)
-    np.multiply(base.view(np.uint64), _MIX[0], out=h)
-    np.bitwise_xor(h, h >> _MIX_SHIFT, out=h)
-    np.multiply(h, _MIX[1], out=h)
-    return int(np.dot(h, coeffs.view(np.uint64)))
-
-
-def _divide_binomial(arr, m):
-    """Exact quotient arr / (t^m - t^(-m)), or None.
+def _divide_binomial(arr, mv):
+    """Exact quotient arr / (t^m - t^(-m)) for the lane vector mv of m, or
+    None.
 
     Equivalent to dividing arr * t^m by t^(2m) - 1: group terms into lines
     along the direction 2m, reject unless every line sums to zero, then
@@ -349,8 +323,7 @@ def _divide_binomial(arr, m):
     keys, coeffs, pk = arr.keys, arr.coeffs, arr.pk
     if keys.size == 0:
         return arr
-    mv = _lane_vec(pk, m)
-    d = m - pk.zero
+    d = sum(x << s for x, s in zip(mv, pk.shifts))
     mu = 2 * d
     lead = _lead(mv)
     halfstep = mv[lead]
@@ -365,15 +338,10 @@ def _divide_binomial(arr, m):
     max_abs = _max_abs(coeffs)
     if max_abs and n > _SUM_LIMIT // max_abs:
         raise FastSumUnavailable("line sums could overflow")
-    lane = (keys >> pk.shifts[lead]) & pk.masks[lead]
-    lane += halfstep - pk.offs[lead]
-    j = lane // step
+    j = (((keys >> pk.shifts[lead]) & pk.masks[lead]) + (halfstep - pk.offs[lead])) // step
     base = j * -mu
     base += keys
     base += d
-    if _line_hash(base, coeffs, lane):
-        return None
-    del lane
     order = np.argsort(base, kind="stable")
     base = base[order]
     j = j[order]
@@ -423,7 +391,8 @@ class _Dense:
     """Coefficient of the monomial with lane values origin + 2 * index at
     arr[index]. The box is tight: every face holds a nonzero coefficient.
     bound is at least max |coeff| and below _COEFF_LIMIT. pk is the packing
-    of the sum; the dense steps themselves use lane values only.
+    of the sum: its lane limits bound every binomial that reaches the
+    node, and the sparse layout packs its keys in it.
 
     arr is a view of buf, a C-contiguous array that belongs to this node
     alone and is zero outside arr's box, so that a division can scan the
@@ -753,10 +722,10 @@ def _divide(arr, m, nonzero=False):
         return None
     if isinstance(arr, LaurentPoly):
         return divide_exact(arr, _half_binomial(m))
-    k = _small_from_big(arr.pk, m)
+    mv = _lane_vec(arr.pk, m)
     if isinstance(arr, _Dense):
-        return _dense_divide(arr, _lane_vec(arr.pk, k))
-    return _divide_binomial(arr, k)
+        return _dense_divide(arr, mv)
+    return _divide_binomial(arr, mv)
 
 
 # -- point certificates ---------------------------------------------------------
@@ -896,8 +865,7 @@ def _pair_reduce(arr, den, val, pts, candidates=None):
     if arr.is_zero():
         den.clear()
         return arr, den, val
-    todo = list(den) if candidates is None else [m for m in candidates if m in den]
-    for m in todo:
+    for m in list(den) if candidates is None else candidates:
         while den.get(m, 0) > 0:
             nonzero = pts.nonzero(val, m)
             try:
@@ -923,14 +891,12 @@ def _int64_add(arr_a, grow_a, arr_b, grow_b):
     if isinstance(arr_a, LaurentPoly) or isinstance(arr_b, LaurentPoly):
         raise FastSumUnavailable("dict operand")
     pk = arr_a.pk
-    grow_a = [(_small_from_big(pk, m), e) for m, e in grow_a]
-    grow_b = [(_small_from_big(pk, m), e) for m, e in grow_b]
     vec_a = [(_lane_vec(pk, m), e) for m, e in grow_a]
     vec_b = [(_lane_vec(pk, m), e) for m, e in grow_b]
     if _goes_dense(arr_a, vec_a, arr_b, vec_b):
         return _dense_sum(_to_dense(arr_a), vec_a, _to_dense(arr_b), vec_b)
-    return _add(_grow(_to_sparse(arr_a), grow_a, _mul_binomial),
-                _grow(_to_sparse(arr_b), grow_b, _mul_binomial))
+    return _add(_grow(_to_sparse(arr_a), vec_a, _mul_binomial),
+                _grow(_to_sparse(arr_b), vec_b, _mul_binomial))
 
 
 def _pair_add(a, b, pts, full=False):
@@ -992,9 +958,8 @@ def _leaf(fw, pk):
             den[m] = -e
     try:
         for m in den:
-            _small_from_big(pk, m)  # raises when a denominator factor leaves the lanes
-        keys = [(_small_from_big(pk, m), e) for m, e in grow]
-        vecs = [(_lane_vec(pk, k), e) for k, e in keys]
+            _lane_vec(pk, m)  # raises when a denominator factor leaves the lanes
+        vecs = [(_lane_vec(pk, m), e) for m, e in grow]
         g = _growth(vecs)
         _check_lanes(pk, [-x for x in g], g)
         if prod(x + 1 for x in g) <= _DENSE_FILL * prod(e + 1 for _, e in grow):
@@ -1007,7 +972,7 @@ def _leaf(fw, pk):
         else:
             one = _Sparse(np.array([pk.zero], dtype=np.int64),
                           np.array([fw.sign], dtype=np.int64), (0,) * 5, (0,) * 5, pk)
-            arr = _grow(one, keys, _mul_binomial)
+            arr = _grow(one, vecs, _mul_binomial)
     except FastSumUnavailable:
         arr = _grow(LaurentPoly.const(fw.sign), grow, _poly_mul)
     return arr, den

@@ -253,8 +253,6 @@ def joyce_check(order, N, corrupt=False):
     """Verify the two-step factorization: the pair-symbol series times the
     transfer series must equal the pair-symbol series times the hilb-symbol
     series, coefficientwise through the given order."""
-    if order > N - 1:
-        raise ValueError("order exceeds frame capacity")
     pair = pair_symbol_series(order)
     wseries = wall_transfer_series(order, N, "SHIFTED" if corrupt else "LT")
     lhs = pair * hilb_symbol_series(order)
@@ -295,8 +293,6 @@ def rank2_bridge(order, N, hilb):
     order."""
     from .vertexk import quot2_vertex_series
 
-    if order > N - 1:
-        raise ValueError("order exceeds frame capacity")
     lhs = _bind_hilb(wall_transfer_series(order, N, "B"), hilb)
     return lhs.eq_through(quot2_vertex_series(order).series, order)
 
@@ -304,8 +300,6 @@ def rank2_bridge(order, N, hilb):
 def dt_side_check(order, N, hilb, quot):
     """Valuewise check of the DT-side relation: the 0-leg series must equal
     the rank-2 series times the evaluated DT-side transfer series."""
-    if order > N - 1:
-        raise ValueError("order exceeds frame capacity")
     rhs = quot.series * _bind_hilb(wall_transfer_series(order, N, "ALL"), hilb)
     return hilb.series.eq_through(rhs, order)
 

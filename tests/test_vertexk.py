@@ -454,7 +454,7 @@ def test_int64_layouts_match_dict_layout(monkeypatch):
         layouts.add(type(arr).__name__)
         return pair_reduce(arr, *args)
 
-    def unavailable(pk, kbig):
+    def unavailable(pk, m):
         raise fastsum.FastSumUnavailable("dict layout forced")
 
     def framing(*exps):
@@ -478,7 +478,7 @@ def test_int64_layouts_match_dict_layout(monkeypatch):
         seen.append(frozenset(layouts))
         by_framing.setdefault(e, set()).update(layouts)
         with monkeypatch.context() as mp:
-            mp.setattr(fastsum, "_small_from_big", unavailable)
+            mp.setattr(fastsum, "_lane_vec", unavailable)
             layouts.clear()
             exact = fastsum.sum_factored(fws)
             if len(fws) > 1:
@@ -538,12 +538,14 @@ def _reduce(arr, den):
     return arr, den
 
 
-def _key(m):
-    """Key of the lane vector m in five 12-bit lanes."""
+def _key(m, pk=None):
+    """Packed key of the lane vector m in packing pk, by default five 12-bit
+    lanes; FastSumUnavailable beyond a lane's limit."""
     from kvertex import fastsum
     from kvertex.exactalg import _pack
 
-    return fastsum._small_from_big(_pk5(), _pack(m))
+    pk = pk or _pk5()
+    return pk.zero + sum(x << s for x, s in zip(fastsum._lane_vec(pk, _pack(m)), pk.shifts))
 
 
 def test_dense_division_matches_sparse_division():
@@ -555,7 +557,7 @@ def test_dense_division_matches_sparse_division():
         prod = _numerator((m, 2), *[(o, 1) for o in others])
         dense = fastsum._to_dense(prod)
         q_dense = fastsum._dense_divide(dense, m)
-        q_sparse = fastsum._divide_binomial(prod, _key(m))
+        q_sparse = fastsum._divide_binomial(prod, m)
         assert q_dense is not None and q_sparse is not None
         assert fastsum._to_poly(q_dense) == fastsum._to_poly(q_sparse)
         once = _numerator((m, 1), *[(o, 1) for o in others])
@@ -563,7 +565,7 @@ def test_dense_division_matches_sparse_division():
         # without the factor, neither layout divides
         rest = _numerator(*[(o, 1) for o in others])
         assert fastsum._dense_divide(fastsum._to_dense(rest), m) is None
-        assert fastsum._divide_binomial(rest, _key(m)) is None
+        assert fastsum._divide_binomial(rest, m) is None
 
 
 def test_sparse_lanes_never_carry():
@@ -571,7 +573,7 @@ def test_sparse_lanes_never_carry():
 
     one = _numerator(((1900, 0, 0, 0, 0), 1))
     with pytest.raises(fastsum.FastSumUnavailable):
-        fastsum._mul_binomial(one, _key((1900, 0, 0, 0, 0)))
+        fastsum._mul_binomial(one, (1900, 0, 0, 0, 0))
 
 
 def test_sparse_division_never_merges_lines():
@@ -585,7 +587,7 @@ def test_sparse_division_never_merges_lines():
     keys = np.array([_key(x) for x in (p, q)])
     f = fastsum._Sparse(keys, np.array([1, -1]), (-2048,) * 5, (2047,) * 5, _pk5())
     with pytest.raises(fastsum.FastSumUnavailable):
-        fastsum._divide_binomial(f, _key(m))
+        fastsum._divide_binomial(f, m)
 
 
 def test_division_beyond_lanes_is_redone_on_dicts():
@@ -598,7 +600,7 @@ def test_division_beyond_lanes_is_redone_on_dicts():
     key = _pack(m)
     f = _numerator((m, 1), (a, 1), (b, 1))
     with pytest.raises(fastsum.FastSumUnavailable):
-        fastsum._divide_binomial(f, _key(m))
+        fastsum._divide_binomial(f, m)
     q, den = _reduce(f, {key: 2})
     assert isinstance(q, LaurentPoly) and den == {key: 1}
     assert q == fastsum._to_poly(_numerator((a, 1), (b, 1)))
@@ -607,6 +609,8 @@ def test_division_beyond_lanes_is_redone_on_dicts():
 def test_five_lane_sums_keep_twelve_bit_keys():
     # A sum whose weights use all five lanes packs its keys in five 12-bit
     # lanes, as the hand-built keys of the lane-limit tests above assume.
+    import numpy as np
+
     # Symbolic quot2 weights use t1-t3 and the framing ratio u2 and get four
     # 15-bit lanes, lane 4 none; 0-leg weights use t1-t3 only and get 20.
     import kvertex.vertexk as vk
@@ -617,7 +621,9 @@ def test_five_lane_sums_keep_twelve_bit_keys():
     assert pk.bits == (12,) * 5
     for e in ((0,) * 5, (1900, -3, 0, 7, -1984), (-1984, 1984, 1, -1, 0)):
         old = sum((x + 2048) << (12 * (4 - i)) for i, x in enumerate(e))
-        assert fastsum._small_from_big(pk, _pack(e)) == old
+        cell = np.ones((1,) * 5, dtype=np.int64)
+        assert fastsum._to_sparse(fastsum._Dense(e, cell, 1, pk, cell)).keys.tolist() == [old]
+        assert fastsum._lane_vec(pk, _pack(e)) == e
     assert fastsum._sum_packing(_quot_weights(2)).bits == (15, 15, 15, 15, 0)
     zero_leg = [vk.factored_weight(vertex_character(c)) for c in enumerate_configs((), (), (), 3)]
     assert fastsum._sum_packing(zero_leg).bits == (20, 20, 20, 0, 0)
@@ -662,7 +668,7 @@ def test_used_lanes_share_sixty_bits_up_to_the_big_lane():
             assert pk.bits == tuple(width if i in used else 0 for i in range(5))
             assert sum(pk.bits) <= 60 and max(pk.lane_max) < BIG_OFF
     pk = fastsum._packing((0,))
-    m = fastsum._small_from_big(pk, _pack((2 ** 22, 0, 0, 0, 0)))
+    m = fastsum._lane_vec(pk, _pack((2 ** 22, 0, 0, 0, 0)))
     one = fastsum._mul_binomial(fastsum._Sparse(np.array([pk.zero]), np.array([1]), (0,) * 5,
                                                 (0,) * 5, pk), m)
     with pytest.raises(fastsum.FastSumUnavailable):
@@ -676,10 +682,10 @@ def test_lane_limits_are_per_lane():
     pk = fastsum._packing((0, 1, 2))
     lim = (1 << 19) - 64
     e = (lim, -lim, 1, 0, 0)
-    assert fastsum._lane_vec(pk, fastsum._small_from_big(pk, _pack(e))) == e
+    assert fastsum._lane_vec(pk, _pack(e)) == e
     for e in ((lim + 1, 0, 0, 0, 0), (0, 0, -lim - 1, 0, 0), (0, 0, 0, 1, 0)):
         with pytest.raises(fastsum.FastSumUnavailable):
-            fastsum._small_from_big(pk, _pack(e))
+            fastsum._lane_vec(pk, _pack(e))
     # a line spans at most each lane's mask before two lines could share a key
     mv, top = (1, 0, 1, 0, 0), (1 << 20) - 1
     assert not fastsum._line_keys_collide(pk, (0,) * 5, (0, top, top, 0, 0), mv, 0)
@@ -688,18 +694,18 @@ def test_lane_limits_are_per_lane():
 
 
 def test_lane_caches_are_per_packing():
-    # One big key packs to a different int under each packing, and one int
-    # decodes differently under each: the caches must tell them apart.
+    # One big key fits the four-lane packing and uses lane 3, which the
+    # three-lane packing leaves unused: asked in turn, the lane cache must
+    # answer each packing for itself, lanes in one and a raise in the other.
     from kvertex import fastsum
     from kvertex.exactalg import _pack
 
-    e = (3, -2, 1, 0, 0)
-    packings = [fastsum._packing(used) for used in ((0, 1, 2), tuple(range(5)), (0, 1, 2, 3))]
-    for pk in packings + packings:
-        assert fastsum._lane_vec(pk, fastsum._small_from_big(pk, _pack(e))) == e
-    k = _key(e)
-    assert fastsum._lane_vec(_pk5(), k) == e
-    assert fastsum._lane_vec(packings[0], k) != e
+    e = (3, -2, 1, 5, 0)
+    fits, unused = fastsum._packing((0, 1, 2, 3)), fastsum._packing((0, 1, 2))
+    for _ in range(2):
+        assert fastsum._lane_vec(fits, _pack(e)) == e
+        with pytest.raises(fastsum.FastSumUnavailable):
+            fastsum._lane_vec(unused, _pack(e))
 
 
 def _sparse(*terms, pk=None):
@@ -708,31 +714,30 @@ def _sparse(*terms, pk=None):
     import numpy as np
 
     from kvertex import fastsum
-    from kvertex.exactalg import _pack
 
-    pk = pk or _pk5()
-    terms = sorted((fastsum._small_from_big(pk, _pack(e)), c) for c, e in terms)
-    lanes = list(zip(*[fastsum._lane_vec(pk, k) for k, _ in terms]))
-    return fastsum._Sparse(np.array([k for k, _ in terms], dtype=np.int64),
-                           np.array([c for _, c in terms], dtype=np.int64),
-                           tuple(map(min, lanes)), tuple(map(max, lanes)), pk)
+    terms = sorted((_key(e, pk), c, e) for c, e in terms)
+    lanes = list(zip(*[e for _, _, e in terms]))
+    return fastsum._Sparse(np.array([k for k, _, _ in terms], dtype=np.int64),
+                           np.array([c for _, c, _ in terms], dtype=np.int64),
+                           tuple(map(min, lanes)), tuple(map(max, lanes)), pk or _pk5())
 
 
-def _sparse_division_cases():
-    """(f, m, divisible) for random sparse numerators f in all five lanes
-    and weight directions m with a positive leading lane: f = g * (t^m -
-    t^(-m)) for a random g, or that plus k t^x (1 + t^(2m)) (1 - t^e) for a
-    unit vector e, which puts the sums 2k and -2k on two lines along 2m of
-    several cells each."""
+def _sparse_division_cases(lanes):
+    """(f, m, divisible) for random sparse numerators f in the first lanes
+    lanes, packed as a sum that uses just those, and weight directions m
+    with a positive leading lane: f = g * (t^m - t^(-m)) for a random g, or
+    that plus k t^x (1 + t^(2m)) (1 - t^e) for a unit vector e, which puts
+    the sums 2k and -2k on two lines along 2m of several cells each."""
     import random
 
+    from kvertex import fastsum
     from kvertex.exactalg import _pack
-    from kvertex.fastsum import _half_binomial
 
     rng = random.Random(11)
+    pk = fastsum._packing(tuple(range(lanes)))
 
     def point():
-        return tuple(rng.randint(-4, 4) for _ in range(5))
+        return tuple(rng.randint(-4, 4) for _ in range(lanes)) + (0,) * (5 - lanes)
 
     cases = []
     while len(cases) < 40:
@@ -743,47 +748,45 @@ def _sparse_division_cases():
                                    for _ in range(rng.randint(1, 40)))
         if g.is_zero():
             continue
-        f = g * _half_binomial(_pack(m))
+        f = g * fastsum._half_binomial(_pack(m))
         divisible = len(cases) % 2 == 0
         if not divisible:
             e = [0] * 5
-            e[rng.randrange(5)] = 1
+            e[rng.randrange(lanes)] = 1
             f = f + (LaurentPoly.term(rng.randint(1, 9), point())
                      * (ONE + LaurentPoly.term(1, tuple(2 * x for x in m)))
                      * (ONE - LaurentPoly.term(1, tuple(e))))
-        cases.append((_sparse(*[(c, x) for x, c in f.terms()]), m, divisible))
+        cases.append((_sparse(*[(c, x) for x, c in f.terms()], pk=pk), m, divisible))
     return cases
 
 
-def _check_sparse_division(cases):
-    """Every sparse division agrees with divide_exact on the dict layout."""
+def test_sparse_division_matches_dict_division():
+    # In each packing in use (three 20-bit lanes, four 15-bit, five 12-bit),
+    # the sparse kernels agree with the dict layout: every division with
+    # divide_exact, every product with _poly_mul, and an exact quotient
+    # times its binomial gives the numerator back. Some directions have
+    # negative lanes after the leading one.
     import numpy as np
 
     from kvertex import fastsum
     from kvertex.exactalg import _pack, divide_exact
 
-    for f, m, divisible in cases:
-        want = divide_exact(fastsum._to_poly(f), fastsum._half_binomial(_pack(m)))
-        assert (want is not None) == divisible
-        got = fastsum._divide_binomial(f, _key(m))
-        if not divisible:
-            assert got is None
-            continue
-        assert fastsum._to_poly(got) == want
-        assert (np.diff(got.keys) > 0).all() and got.coeffs.all()
-
-
-def test_sparse_division_matches_dict_division():
-    _check_sparse_division(_sparse_division_cases())
-
-
-def test_sparse_division_exact_check_without_hash_filter(monkeypatch):
-    # With the hashed line sum forced to pass, the exact line sums alone
-    # reject every division that is not exact.
-    from kvertex import fastsum
-
-    monkeypatch.setattr(fastsum, "_line_hash", lambda base, coeffs, out: 0)
-    _check_sparse_division(_sparse_division_cases())
+    for lanes, bits in ((3, 20), (4, 15), (5, 12)):
+        cases = _sparse_division_cases(lanes)
+        assert cases[0][0].pk.bits == (bits,) * lanes + (0,) * (5 - lanes)
+        assert any(min(m[m.index(next(x for x in m if x)):]) < 0 for _, m, _ in cases)
+        for f, m, divisible in cases:
+            poly = fastsum._to_poly(f)
+            assert fastsum._to_poly(fastsum._mul_binomial(f, m)) == fastsum._poly_mul(poly, _pack(m))
+            want = divide_exact(poly, fastsum._half_binomial(_pack(m)))
+            assert (want is not None) == divisible
+            got = fastsum._divide_binomial(f, m)
+            if not divisible:
+                assert got is None
+                continue
+            assert fastsum._to_poly(got) == want
+            assert (np.diff(got.keys) > 0).all() and got.coeffs.all()
+            assert fastsum._to_poly(fastsum._mul_binomial(got, m)) == poly
 
 
 def test_sparse_division_rejects_negative_leading_lane():
@@ -793,7 +796,7 @@ def test_sparse_division_rejects_negative_leading_lane():
 
     f = _numerator(((1, 2, 0, 0, 0), 1))
     m = (-1, 2, 0, 0, 0)
-    for divide in (lambda: fastsum._divide_binomial(f, _key(m)),
+    for divide in (lambda: fastsum._divide_binomial(f, m),
                    lambda: fastsum._dense_divide(fastsum._to_dense(f), m)):
         with pytest.raises(ValueError, match=r"\(-1, 2, 0, 0, 0\) has a negative leading lane"):
             divide()

@@ -162,8 +162,18 @@ def test_joyce_check_and_negative_control():
     assert not joyce_check(3, 8, corrupt=True)
     assert not joyce_check(6, 12, corrupt=True)
     assert joyce_check(0, 4)
-    with pytest.raises(ValueError):
-        joyce_check(8, 8)
+
+
+def test_checks_refuse_orders_past_the_frame():
+    # wall_transfer_series raises before any check uses its result, so
+    # none of the four checks needs a guard of its own
+    hilb = dt_vertex_series(order=1)
+    quot = quot2_vertex_series(1)
+    checks = (lambda: joyce_check(8, 8), lambda: mochizuki_check(8, 8),
+              lambda: rank2_bridge(6, 6, hilb), lambda: dt_side_check(6, 6, hilb, quot))
+    for check in checks:
+        with pytest.raises(ValueError, match="order exceeds frame capacity"):
+            check()
 
 
 def test_iterated_crossing_order_one():
