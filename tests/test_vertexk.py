@@ -609,10 +609,10 @@ def test_division_beyond_lanes_is_redone_on_dicts():
 def test_five_lane_sums_keep_twelve_bit_keys():
     # A sum whose weights use all five lanes packs its keys in five 12-bit
     # lanes, as the hand-built keys of the lane-limit tests above assume.
-    import numpy as np
-
     # Symbolic quot2 weights use t1-t3 and the framing ratio u2 and get four
     # 15-bit lanes, lane 4 none; 0-leg weights use t1-t3 only and get 20.
+    import numpy as np
+
     import kvertex.vertexk as vk
     from kvertex import fastsum
     from kvertex.exactalg import _pack
