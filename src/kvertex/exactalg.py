@@ -849,11 +849,18 @@ class RatFunc:
     def subst_t3_cy(self):
         """Exact t3 -> (t1 t2)^(-1) specialization.
 
-        Common powers of (kappa - 1) are cancelled from numerator and
-        denominator first, since (kappa - 1) generates the ideal of the
-        specialization locus; a denominator that still vanishes afterwards
-        is a genuine singularity.
+        The denominator is specialized factor by factor. Only when that
+        product vanishes are common powers of (kappa - 1) cancelled from
+        the numerator and the expanded denominator first, since
+        (kappa - 1) generates the ideal of the specialization locus; a
+        denominator that still vanishes afterwards is a genuine
+        singularity.
         """
+        den = LaurentPoly.const(self.scale)
+        for f, mult in self.fac.items():
+            den = den * f.subst_t3_cy() ** mult
+        if not den.is_zero():
+            return RatFunc(self.num.subst_t3_cy(), den)
         num = self.num
         den = self.den
         while True:

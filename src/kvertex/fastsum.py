@@ -36,12 +36,13 @@ otherwise dense when its product box has at most _DENSE_FILL cells per
 term, sparse if not; a box larger than _DENSE_FILL cells per possible term
 (prod (e + 1) over its binomials of multiplicity e) is never built. A merge
 with a dict operand runs on dicts. Otherwise the merge goes dense when both
-operands share per-lane parity and the predicted box of the sum has at most
-_DENSE_FILL cells per operand term, and stays sparse if not. When an int64
-merge or division raises FastSumUnavailable, that one merge or division is
-redone on dicts, and the numerator stays a dict from then on. No layout
-changes the merge order or the trial divisions, so all give the same
-result.
+operands share per-lane parity and the union box of the grown operands has
+at most _DENSE_FILL cells per estimated term of the sum, and stays sparse
+if not. Each operand is estimated to keep its fill as its catch-up
+binomials widen its box (_goes_dense). When an int64 merge or division
+raises FastSumUnavailable, that one merge or division is redone on dicts,
+and the numerator stays a dict from then on. No layout changes the merge
+order or the trial divisions, so all give the same result.
 
 Exactness of the int64 layouts is kept by range checks: every coefficient
 stays below _COEFF_LIMIT; sparse lanes are checked against each lane's true
@@ -127,9 +128,10 @@ _KEY_BITS = 60
 # modulo 2^64.
 _COEFF_LIMIT = 1 << 61
 _SUM_LIMIT = 1 << 62
-# A merge goes dense when its predicted box has at most this many cells per
-# operand term: 64 B of box per term, against 16 B per term (before growth
-# and sort scratch) for the sparse arrays, so this is the byte budget too.
+# A merge goes dense when the box of its sum has at most this many cells per
+# term that its grown operands are estimated to have: 64 B of box per term,
+# against 16 B per term (before sort scratch) for the sparse arrays, so this
+# is the byte budget too.
 _DENSE_FILL = 8
 # A dense division's scan at lag d sums its (rows, d) grid by one cumsum
 # down the columns when d is below this, by one add per row when it is not.
@@ -472,12 +474,14 @@ def _grow_into(buf, at, dn, grow):
     Each binomial is applied in place. With f in the region R of the box,
     f * (t^m - t^(-m)) is f[y] - f[y + m] over R and R - m (m in cells),
     one subtraction of buf[R] from buf[R - m]. In the flat buffer that is
-    flat[lo - d : hi - d] -= flat[lo : hi], with [lo, hi) the flat span of
-    R and d = sum m_l * stride_l. It is exact because every cell of the
-    span outside R is still zero, and R - m lies inside buf. buf must be
-    C-contiguous: the whole buffer, never a view, whose flattening would be
-    a copy. dn starts where the last binomial ends at the corner of the
-    box."""
+    flat[lo - d : lo - d + width] -= flat[lo : lo + width], with
+    [lo, lo + width) the flat span of R and d = sum m_l * stride_l; a step
+    moves lo by -sum max(m_l, 0) * stride_l and widens the span by
+    sum |m_l| * stride_l. It is exact because every cell of the span outside
+    R is still zero, and R - m lies inside buf; for the same reason the max
+    over the span is the max over R. buf must be C-contiguous: the whole
+    buffer, never a view, whose flattening would be a copy. dn starts where
+    the last binomial ends at the corner of the box."""
     flat = np.reshape(buf, -1, copy=False)
     strides = [prod(buf.shape[l + 1:]) for l in range(5)]
     start = list(at)
@@ -485,17 +489,19 @@ def _grow_into(buf, at, dn, grow):
         start = [x + e * max(y, 0) for x, y in zip(start, mv)]
     shape = dn.arr.shape
     buf[_box(start, shape)] = dn.arr
+    lo = sum(x * s for x, s in zip(start, strides))
+    width = sum((n - 1) * s for n, s in zip(shape, strides)) + 1
     bound = dn.bound
     for mv, e in grow:
         d = sum(y * s for y, s in zip(mv, strides))
+        step = sum(max(y, 0) * s for y, s in zip(mv, strides))
+        widen = sum(abs(y) * s for y, s in zip(mv, strides))
         for _ in range(e):
-            lo = sum(x * s for x, s in zip(start, strides))
-            hi = lo + sum((n - 1) * s for n, s in zip(shape, strides)) + 1
-            dst = flat[lo - d:hi - d]
-            np.subtract(dst, flat[lo:hi], out=dst)
-            start = [min(x, x - y) for x, y in zip(start, mv)]
-            shape = tuple(n + abs(y) for n, y in zip(shape, mv))
-            bound = _gated(buf[_box(start, shape)], 2 * bound)
+            dst = flat[lo - d:lo - d + width]
+            np.subtract(dst, flat[lo:lo + width], out=dst)
+            lo -= step
+            width += widen
+            bound = _gated(flat[lo:lo + width], 2 * bound)
     return bound
 
 
@@ -626,28 +632,35 @@ def _shares_parity(arr):
 
 def _goes_dense(a, grow_a, b, grow_b):
     """Whether the sum of a and b, each times its catch-up binomials
-    (mv, e), fits the dense layout. A sparse operand's box comes from its
-    carried bounds, which are loose only where an add cancelled terms at
-    the edge of the box."""
+    (mv, e), fits the dense layout: whether the union box of the grown
+    operands has at most _DENSE_FILL cells per estimated term. An operand
+    of n terms whose box spans c_l cells on lane l is taken to keep its
+    fill as its catch-ups widen the box by g_l cells (_growth), so to grow
+    to n * prod (c_l + g_l) / prod c_l terms. A sparse operand's box comes
+    from its carried bounds, which are loose only where an add cancelled
+    terms at the edge of the box."""
     if a.is_zero() or b.is_zero():
         return False
     boxes = []
-    terms = 0
+    fills = []
     for arr, grow in ((a, grow_a), (b, grow_b)):
         if isinstance(arr, _Dense):
             lo, hi, n = arr.origin, arr.top(), int(np.count_nonzero(arr.arr))
         else:
             lo, hi, n = arr.lo, arr.hi, arr.keys.size
         g = _growth(grow)
+        c = [(y - x) // 2 + 1 for x, y in zip(lo, hi)]
         boxes.append(([x - y for x, y in zip(lo, g)], [x + y for x, y in zip(hi, g)]))
-        terms += n
+        fills.append((n * prod(x + y for x, y in zip(c, g)), prod(c)))
     (lo_a, hi_a), (lo_b, hi_b) = boxes
     if any((x - y) % 2 for x, y in zip(lo_a, lo_b)):
         return False
     cells = 1
     for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b):
         cells *= (max(ha, hb) - min(la, lb)) // 2 + 1
-    if cells > _DENSE_FILL * terms:
+    # estimated terms: grown_a / cells_a + grown_b / cells_b
+    (grown_a, cells_a), (grown_b, cells_b) = fills
+    if cells * cells_a * cells_b > _DENSE_FILL * (grown_a * cells_b + grown_b * cells_a):
         return False
     return _shares_parity(a) and _shares_parity(b)
 

@@ -37,7 +37,6 @@ volume-8 assembly cheap.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -382,6 +381,8 @@ def _map_jobs(fn, items, jobs):
         jobs = 1
     if jobs <= 1 or len(items) < 2:
         return [fn(x) for x in items]
+    import multiprocessing  # only here: a serial run does not pay its import
+
     with multiprocessing.Pool(jobs) as pool:
         return pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs)))
 

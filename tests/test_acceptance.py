@@ -168,6 +168,17 @@ def test_criterion_09_cy_macmahon(dt0_through_8):
     report(9, consts == expect, "CY limit %s" % (consts,))
 
 
+def test_cy_specialization_matches_expanded_denominator(dt0_through_8):
+    # subst_t3_cy specializes the denominator factor by factor; the oracle
+    # specializes the expanded numerator and denominator
+    series, _ = dt0_through_8
+    for c in series.series.coeffs:
+        spec = c.subst_t3_cy()
+        oracle = RatFunc(c.num.subst_t3_cy(), c.den.subst_t3_cy())
+        assert spec == oracle
+        assert spec.to_json() == oracle.to_json()
+
+
 def test_criterion_10_rank2_factorization(dt0_through_8):
     series, _ = dt0_through_8
     t0 = time.time()

@@ -283,6 +283,10 @@ def test_cy_subst_cancels_kappa_minus_one():
     # (kappa^2 - 1)/(kappa - 1) specializes to 2 despite the vanishing factor
     r = RatFunc(KAPPA * KAPPA - ONE, KAPPA - ONE)
     assert r.subst_t3_cy().as_constant() == 2
+    # a stored factor (kappa - 1)(t1 + 1) specializes to 0, so the common
+    # (kappa - 1) is cancelled before the specialization
+    r = RatFunc((KAPPA - ONE) * (T1 + 2 * ONE), (KAPPA - ONE) * (T1 + ONE))
+    assert r.subst_t3_cy() == RatFunc(T1 + 2 * ONE, T1 + ONE)
     with pytest.raises(ZeroDivisionError, match="singular specialization"):
         RatFunc(ONE, KAPPA - ONE).subst_t3_cy()
 

@@ -2,6 +2,9 @@
 and a helper whose last caller goes must go with it."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -58,3 +61,12 @@ def test_every_helper_has_a_caller():
     assert not dead
     # the allowlist holds only names that really are uncalled
     assert all(named[name] == 0 for name in UNCALLED)
+
+
+def test_import_leaves_multiprocessing_out():
+    # vertexk imports multiprocessing only for a run with jobs > 1
+    code = "import sys, kvertex, kvertex.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

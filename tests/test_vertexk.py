@@ -467,8 +467,8 @@ def test_int64_layouts_match_dict_layout(monkeypatch):
     )
     weights = [(None, [vk.factored_weight(vertex_character(c)) for c in configs])
                for configs in cases]
-    exps = [None, (5, 3, -2), (500, 3, -2), (2241, 4, -2), (100001, 3, -2), (300001, 3, -2),
-            (600001, 3, -2)]
+    exps = [None, (5, 3, -2), (12, 3, -2), (500, 3, -2), (2241, 4, -2), (100001, 3, -2),
+            (300001, 3, -2), (600001, 3, -2)]
     weights += [(e, _quot_weights(m, e and framing(*e))) for e in exps for m in range(3)]
     seen = []
     by_framing = {}
@@ -484,9 +484,9 @@ def test_int64_layouts_match_dict_layout(monkeypatch):
             if len(fws) > 1:
                 assert layouts == {"LaurentPoly"}
         assert fast[0] == exact[0] and fast[1] == exact[1]
-    # some sums merge only densely (0-leg), some only sparsely (framing
-    # t^(500,3,-2) at m=2), some mix the two int64 layouts (quot2 symbolic
-    # and framing t^(5,3,-2) at m=2), some mix sparse and dict merges
+    # some sums merge only densely (0-leg, quot2 symbolic), some only
+    # sparsely (framing t^(500,3,-2) at m=2), some mix the two int64 layouts
+    # (framing t^(12,3,-2) at m=2), some mix sparse and dict merges
     # (framing t^(100001,3,-2) at m=2), and some merge only on dicts
     # (t^(300001,3,-2) at m=2, t^(600001,3,-2) at m=1, 2)
     assert {
@@ -498,6 +498,42 @@ def test_int64_layouts_match_dict_layout(monkeypatch):
     assert frozenset({"LaurentPoly"}) in seen
     # framings in t1-t3 get 20-bit lanes: these stay in int64
     assert "LaurentPoly" not in by_framing[(500, 3, -2)] | by_framing[(2241, 4, -2)]
+
+
+def test_merge_layouts_follow_the_grown_fill(monkeypatch):
+    # the layout rule estimates each operand's terms after its catch-ups
+    # from its fill: every merge of the 0-leg sums through Q^6 and of the
+    # symbolic quot2 sums through Q^3 goes dense, while the merges of a
+    # framing far from the tangent weights stay sparse
+    import kvertex.vertexk as vk
+    from kvertex import fastsum
+
+    add = fastsum._int64_add
+    layouts = []
+
+    def spy(*args):
+        out = add(*args)
+        layouts.append(type(out).__name__)
+        return out
+
+    monkeypatch.setattr(fastsum, "_int64_add", spy)
+    seen = {}
+    cases = [("dt0", n) for n in range(7)] + [("quot2", m) for m in range(4)]
+    for kind, n in cases:
+        if kind == "dt0":
+            fws = [vk.factored_weight(vertex_character(c)) for c in enumerate_configs((), (), (), n)]
+        else:
+            fws = _quot_weights(n)
+        layouts.clear()
+        fastsum.sum_factored(fws)
+        assert len(layouts) == len(fws) - 1
+        seen[kind, n] = set(layouts)
+    assert seen[("dt0", 6)] == seen[("quot2", 3)] == {"_Dense"}
+    assert all(x <= {"_Dense"} for x in seen.values())
+    layouts.clear()
+    # framing t^(250,3,-2)
+    fastsum.sum_factored(_quot_weights(3, (ONE, LaurentPoly.term(1, (500, 6, -4, 0, 0)))))
+    assert len(layouts) == 17 and set(layouts) == {"_Sparse"}
 
 
 def _numerator(*factors):
