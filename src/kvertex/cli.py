@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 
 from . import qcombi, vertexk, wallcross
@@ -192,7 +191,7 @@ def build_parser():
             sp.add_argument("--legs", default=";;", help='three partitions, e.g. "3,1;2;"')
         if order:
             sp.add_argument("--order", type=int, required=True, help="truncation order in Q")
-        sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -227,7 +226,7 @@ def build_parser():
     sp = sub.add_parser("bridge", help="formal-geometric rank-2 cross-check")
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--frame-dim", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_bridge, format="json")
 

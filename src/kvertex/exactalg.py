@@ -101,6 +101,21 @@ def _check_sums(a, b):
         _check_bounds(map(add, lo_a, lo_b), map(add, hi_a, hi_b))
 
 
+def _power(x, n, one):
+    """x ** n by square-and-multiply, for a nonnegative int n; one is the
+    unit of x's ring."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("power wants a nonnegative integer, not %r" % (n,))
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
 def exps_str(exps):
     """Canonical text form, doubled exponents in: t1^(a/2) t2^(b/2) ..."""
     parts = []
@@ -218,10 +233,6 @@ class LaurentPoly:
             return self.d == LaurentPoly.const(other).d
         return NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         # a constant polynomial equals its constant, so it hashes as one
         c = self.as_constant()
@@ -290,39 +301,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("LaurentPoly power wants a nonnegative integer")
-        out = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def mul_binomial(self, kplus, cplus, kminus, cminus):
-        """Fast multiply by (cplus * t^kplus + cminus * t^kminus), keys
-        packed."""
-        _check_sums(self.d, (kplus, kminus))
-        d = {}
-        get = d.get
-        kp = kplus - PACK_ZERO
-        km = kminus - PACK_ZERO
-        for k, c in self.d.items():
-            k1 = k + kp
-            s = get(k1, 0) + c * cplus
-            if s:
-                d[k1] = s
-            elif k1 in d:
-                del d[k1]
-            k2 = k + km
-            s = get(k2, 0) + c * cminus
-            if s:
-                d[k2] = s
-            elif k2 in d:
-                del d[k2]
-        return LaurentPoly(d)
+        return _power(self, n, LaurentPoly.const(1))
 
     def bar(self):
         """The weight-dual involution: every monomial exponent is negated."""
@@ -813,12 +792,7 @@ class RatFunc:
         return self * other.inverse()
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("RatFunc power wants a nonnegative integer")
-        out = RatFunc.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, RatFunc.one())
 
     def __eq__(self, other):
         other = _as_ratfunc(other)
@@ -832,10 +806,6 @@ class RatFunc:
         if self.scale != other.scale:
             a, b = a * other.scale, b * self.scale
         return a == b
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def bar(self):
         fac = {}

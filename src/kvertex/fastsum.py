@@ -17,8 +17,8 @@ is held in one of three layouts:
   the lane values of its origin cell. All terms of a product of weight
   binomials have the same parity in each lane, so one cell is 2 lane units
   wide;
-- dict: an exact LaurentPoly, multiplied with mul_binomial and divided with
-  divide_exact. It holds any exponent and any coefficient.
+- dict: an exact LaurentPoly, divided with divide_exact. It holds any
+  exponent and any coefficient.
 
 Every int64 kernel takes a weight binomial as the lane vector of its key
 (_lane_vec, which also checks it against the lane limits below), and
@@ -33,9 +33,9 @@ numerator carries it.
 
 Each leaf starts as a dict when one of its factors leaves its lanes, and
 otherwise dense when its product box has at most _DENSE_FILL cells per
-term, sparse if not; a box larger than _DENSE_FILL cells per possible term
-(prod (e + 1) over its binomials of multiplicity e) is never built. A merge
-with a dict operand runs on dicts. Otherwise the merge goes dense when both
+possible term (prod (e + 1) over its binomials of multiplicity e), sparse
+if not; it keeps that layout until its first merge. A merge with a dict
+operand runs on dicts. Otherwise the merge goes dense when both
 operands share per-lane parity and the union box of the grown operands has
 at most _DENSE_FILL cells per estimated term of the sum, and stays sparse
 if not. Each operand is estimated to keep its fill as its catch-up
@@ -636,16 +636,17 @@ def _goes_dense(a, grow_a, b, grow_b):
     operands has at most _DENSE_FILL cells per estimated term. An operand
     of n terms whose box spans c_l cells on lane l is taken to keep its
     fill as its catch-ups widen the box by g_l cells (_growth), so to grow
-    to n * prod (c_l + g_l) / prod c_l terms. A sparse operand's box comes
-    from its carried bounds, which are loose only where an add cancelled
-    terms at the edge of the box."""
+    to n * prod (c_l + g_l) / prod c_l terms. A dense operand counts as
+    full, n = prod c_l, so its box is never read. A sparse operand's box
+    comes from its carried bounds, which are loose only where an add
+    cancelled terms at the edge of the box."""
     if a.is_zero() or b.is_zero():
         return False
     boxes = []
     fills = []
     for arr, grow in ((a, grow_a), (b, grow_b)):
         if isinstance(arr, _Dense):
-            lo, hi, n = arr.origin, arr.top(), int(np.count_nonzero(arr.arr))
+            lo, hi, n = arr.origin, arr.top(), arr.arr.size
         else:
             lo, hi, n = arr.lo, arr.hi, arr.keys.size
         g = _growth(grow)
@@ -724,7 +725,7 @@ def _half_binomial(m):
 
 def _poly_mul(num, m):
     """num * (t^m - t^(-m)) for a big-packed key m."""
-    return num.mul_binomial(m, 1, _kneg(m), -1)
+    return num * _half_binomial(m)
 
 
 def _divide(arr, m, nonzero=False):
@@ -958,10 +959,8 @@ def _added(operands, grow_a, grow_b):
 def _leaf(fw, pk):
     """FactoredWeight -> (numerator, denominator dict). The numerator is a
     dict when a factor leaves the lanes of packing pk. Otherwise it is
-    dense when its product box has at most _DENSE_FILL cells per term, as
-    for a merge, and sparse if not. The product of the binomials (m, e) has
-    at most prod (e + 1) terms, so a larger box is built sparse at once;
-    a smaller one is built dense and its terms counted."""
+    dense when its product box has at most _DENSE_FILL cells per possible
+    term, prod (e + 1) over its binomials (m, e), and sparse if not."""
     grow = []
     den = {}
     for m, e in sorted(fw.fac.items()):
@@ -980,8 +979,6 @@ def _leaf(fw, pk):
             cell = np.full((1,) * 5, fw.sign, dtype=np.int64)
             one = _Dense((0,) * 5, cell, 1, pk, cell)
             arr = _Dense(tuple(-x for x in g), buf, _grow_into(buf, (0,) * 5, one, vecs), pk, buf)
-            if buf.size > _DENSE_FILL * np.count_nonzero(buf):
-                arr = _to_sparse(arr)
         else:
             one = _Sparse(np.array([pk.zero], dtype=np.int64),
                           np.array([fw.sign], dtype=np.int64), (0,) * 5, (0,) * 5, pk)

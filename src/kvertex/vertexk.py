@@ -377,8 +377,6 @@ def _quot_weight(args):
 
 def _map_jobs(fn, items, jobs):
     items = list(items)
-    if jobs is None:
-        jobs = 1
     if jobs <= 1 or len(items) < 2:
         return [fn(x) for x in items]
     import multiprocessing  # only here: a serial run does not pay its import
@@ -403,32 +401,19 @@ def dt_vertex_series(l1=(), l2=(), l3=(), order=0, jobs=1):
     return VertexSeries("DT", legs, QSeries(nmin, coeffs, order))
 
 
-def _dt_through(vs, legs, order, jobs):
-    """The DT series of the legs through exactly Q^order: computed, or cut
-    from a series passed in."""
-    if vs is None:
-        return dt_vertex_series(*legs, order=order, jobs=jobs).series
-    if vs.series.trunc < order:
-        raise ValueError("the PT quotient needs the legs %s series through Q^%d, not Q^%d"
-                         % (list(map(list, legs)), order, vs.series.trunc))
-    return vs.series.truncate(order)
-
-
-def pt_vertex_series(l1=(), l2=(), l3=(), order=0, jobs=1, dt=None, dt0=None):
+def pt_vertex_series(l1=(), l2=(), l3=(), order=0, jobs=1):
     """Stable-pairs vertex series, defined as the quotient of the full
     box-counting series by its 0-leg specialization.
 
     Series arithmetic keeps exactly the coefficients its inputs determine,
     so the quotient through Q^order needs DT through Q^order and DT_0
     through Q^(order - n_min), where n_min <= 0 is the minimal volume of
-    the legs. Both are computed to just those orders; precomputed dt and
-    dt0 series reaching at least as far may be passed in to share work
-    across calls.
+    the legs. Both are computed to just those orders.
     """
     legs = (tuple(l1), tuple(l2), tuple(l3))
     nmin = min_volume(*legs)
-    num = _dt_through(dt, legs, order, jobs)
-    den = _dt_through(dt0, ((), (), ()), order - nmin, jobs)
+    num = dt_vertex_series(*legs, order=order, jobs=jobs).series
+    den = dt_vertex_series(order=order - nmin, jobs=jobs).series
     return VertexSeries("PT", legs, num / den)
 
 

@@ -82,6 +82,14 @@ def test_failed_command_leaves_out_file_intact(tmp_path):
         assert out.read_text() == "earlier output\n", args
 
 
+def test_jobs_default_to_one():
+    # a pool per volume costs more than the characters it would share out
+    from kvertex.cli import build_parser
+
+    for args in (["dt-vertex", "--order", "1"], ["bridge", "--order", "1", "--frame-dim", "6"]):
+        assert build_parser().parse_args(args).jobs == 1
+
+
 def test_jobs_flag_deterministic(tmp_path):
     a = run_cli("dt-vertex", "--legs", ";;", "--order", "2", "--jobs", "1")
     b = run_cli("dt-vertex", "--legs", ";;", "--order", "2", "--jobs", "2")

@@ -182,6 +182,23 @@ def test_ratfunc_arithmetic():
     assert c.inverse().inverse().scale == 1
 
 
+def test_powers_are_repeated_products():
+    # LaurentPoly, RatFunc and FormalExpr share one square-and-multiply
+    from kvertex.wallcross import HILB, FormalExpr
+
+    r = RatFunc(T1 + 2 * T2, (ONE - T1) * (ONE - T1 * T3))
+    assert r.fac
+    for x, one in ((T1 - 2 * T2 + T3.bar(), ONE), (r, RatFunc.one()),
+                   (FormalExpr.symbol(HILB, 1) + FormalExpr.scalar(r), FormalExpr.scalar(1))):
+        want = one
+        for n in range(7):
+            assert x ** n == want
+            want = want * x
+        for n in (-1, 2.0, "2"):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                x ** n
+
+
 def test_ratfunc_across_scales():
     a = RatFunc(T1, 2)
     b = RatFunc(ONE, 3)
@@ -307,8 +324,6 @@ def test_canonical_text_and_json():
 def test_lanes_never_wrap():
     # A doubled exponent lives in a 24-bit lane, [-2^23, 2^23): every
     # operation that would leave it raises and names the variable.
-    from kvertex.exactalg import PACK_ZERO, _pack
-
     top = 2 ** 23
     for make, name in (
         (lambda: LaurentPoly.term(1, (top, 0, 0, 0, 0)), "t1"),
@@ -317,8 +332,8 @@ def test_lanes_never_wrap():
         (lambda: LaurentPoly.from_terms([(1, (0, 0, -top - 1, 0, 0))]), "t3"),
         (lambda: LaurentPoly.var(3, top), "u2"),
         (lambda: (ONE + LaurentPoly.term(1, (0, 0, 0, 0, top - 2))).shift((0, 0, 0, 0, 2)), "u3"),
-        (lambda: LaurentPoly.term(1, (0, 1 - top, 0, 0, 0)).mul_binomial(
-            _pack((0, -2, 0, 0, 0)), 1, PACK_ZERO, -1), "t2"),
+        (lambda: LaurentPoly.term(1, (0, 1 - top, 0, 0, 0))
+         * (LaurentPoly.term(1, (0, -2, 0, 0, 0)) - ONE), "t2"),
         (lambda: LaurentPoly.term(1, (top // 2, 0, -top // 2, 0, 0)).subst_t3_cy(), "t1"),
     ):
         with pytest.raises(ValueError, match="exponent of %s leaves its 24-bit lane" % name):

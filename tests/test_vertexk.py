@@ -309,31 +309,20 @@ def test_pt_empty_legs_trivial():
 def test_pt_defining_identity():
     dt0 = dt_vertex_series(order=5)
     dt1 = dt_vertex_series((1,), order=5)
-    pt = pt_vertex_series((1,), order=3, dt=dt1, dt0=dt0)
+    pt = pt_vertex_series((1,), order=3)
     assert (pt.series * dt0.series).eq_through(dt1.series, 3)
     # re-truncation stability
-    pt_lo = pt_vertex_series((1,), order=2, dt=dt1, dt0=dt0)
+    pt_lo = pt_vertex_series((1,), order=2)
     assert pt_lo.series.eq_through(pt.series, 2)
     # two legs meet in a box, so n_min = -1 and DT_0 is needed through Q^3
     legs = ((1,), (1,))
     dt11 = dt_vertex_series(*legs, order=3)
-    pt = pt_vertex_series(*legs, order=2, dt=dt11, dt0=dt0)
+    pt = pt_vertex_series(*legs, order=2)
     assert pt.series.min_power == min_volume(*legs) == -1
     assert pt.series.trunc == 2
     assert (pt.series * dt0.series).eq_through(dt11.series, 2)
-    pt_lo = pt_vertex_series(*legs, order=1, dt=dt11, dt0=dt0)
+    pt_lo = pt_vertex_series(*legs, order=1)
     assert pt_lo.series.eq_through(pt.series, 1)
-    assert pt_vertex_series(*legs, order=2).to_json() == pt.to_json()
-
-
-def test_pt_short_input_series_name_the_order_needed():
-    legs = ((1,), (1,))
-    dt0 = dt_vertex_series(order=2)
-    dt11 = dt_vertex_series(*legs, order=2)
-    with pytest.raises(ValueError, match=r"through Q\^3"):
-        pt_vertex_series(*legs, order=2, dt=dt11, dt0=dt0)
-    with pytest.raises(ValueError, match=r"through Q\^2"):
-        pt_vertex_series(*legs, order=2, dt=dt_vertex_series(*legs, order=1))
 
 
 def test_quot2_small_orders():
@@ -503,26 +492,39 @@ def test_int64_layouts_match_dict_layout(monkeypatch):
 def test_merge_layouts_follow_the_grown_fill(monkeypatch):
     # the layout rule estimates each operand's terms after its catch-ups
     # from its fill: every merge of the 0-leg sums through Q^6 and of the
-    # symbolic quot2 sums through Q^3 goes dense, while the merges of a
-    # framing far from the tangent weights stay sparse
+    # symbolic quot2 sums through Q^3 goes dense, and every leaf there is
+    # built dense, so no numerator changes layout; the merges of a framing
+    # far from the tangent weights stay sparse
     import kvertex.vertexk as vk
     from kvertex import fastsum
 
     add = fastsum._int64_add
     layouts = []
+    conversions = []
 
     def spy(*args):
         out = add(*args)
         layouts.append(type(out).__name__)
         return out
 
+    def converting(fn):
+        def wrapped(arr):
+            out = fn(arr)
+            if type(out) is not type(arr):
+                conversions.append(fn.__name__)
+            return out
+        return wrapped
+
     monkeypatch.setattr(fastsum, "_int64_add", spy)
+    for name in ("_to_sparse", "_to_dense"):
+        monkeypatch.setattr(fastsum, name, converting(getattr(fastsum, name)))
     zero_leg = [[vk.factored_weight(vertex_character(c)) for c in enumerate_configs((), (), (), n)]
                 for n in range(7)]
     for fws in zero_leg + [_quot_weights(m) for m in range(4)]:
         layouts.clear()
         fastsum.sum_factored(fws)
         assert layouts == ["_Dense"] * (len(fws) - 1)
+        assert conversions == []
     layouts.clear()
     # framing t^(250,3,-2)
     fastsum.sum_factored(_quot_weights(3, (ONE, LaurentPoly.term(1, (500, 6, -4, 0, 0)))))
@@ -1178,26 +1180,27 @@ def test_dense_division_rejects_before_its_guard():
 
 def test_dense_leaves_match_dict_products():
     # A leaf is dense when its product box has at most _DENSE_FILL cells per
-    # term, grown from one cell, and sparse otherwise; either way it equals
-    # the dict product, in the three-lane packing of 0-leg sums and the
-    # five-lane one of quot2.
+    # possible term, prod (e + 1) over its binomials, grown from one cell,
+    # and sparse otherwise; either way it equals the dict product, in the
+    # three-lane packing of 0-leg sums and the five-lane one of quot2.
     import random
-
-    import numpy as np
+    from math import prod
 
     from kvertex import fastsum
-    from kvertex.exactalg import _pack
+    from kvertex.exactalg import _pack, _unpack
     from kvertex.vertexk import FactoredWeight
 
     def check(fw, pk):
         arr, den = fastsum._leaf(fw, pk)
-        want = fastsum._grow(LaurentPoly.const(fw.sign),
-                             sorted((m, e) for m, e in fw.fac.items() if e > 0),
-                             fastsum._poly_mul)
+        grow = sorted((m, e) for m, e in fw.fac.items() if e > 0)
+        want = fastsum._grow(LaurentPoly.const(fw.sign), grow, fastsum._poly_mul)
         assert fastsum._to_poly(arr) == want
         assert den == {m: -e for m, e in fw.fac.items() if e < 0}
+        cells = prod(sum(e * abs(_unpack(m)[lane]) for m, e in grow) + 1 for lane in range(5))
+        assert isinstance(arr, fastsum._Dense) == (
+            cells <= fastsum._DENSE_FILL * prod(e + 1 for _, e in grow))
         if isinstance(arr, fastsum._Dense):
-            assert arr.arr.size <= fastsum._DENSE_FILL * np.count_nonzero(arr.arr)
+            assert arr.arr.size == cells
             assert int(abs(arr.arr).max()) <= arr.bound
             # the box is tight: every face holds a nonzero coefficient
             assert fastsum._trim(arr.origin, arr.arr, arr.bound, pk).arr.shape == arr.arr.shape
@@ -1218,12 +1221,11 @@ def test_dense_leaves_match_dict_products():
     pk = fastsum._packing((0, 1, 2))
     # 6^3 cells for at most 16 terms: the box is never built
     far = [(4, 0, 0, 0, 0), (0, 4, 0, 0, 0), (0, 0, 4, 0, 0), (1, 1, 1, 0, 0)]
-    # 11^2 cells for at most 16 terms, but the terms lie on one line: at
-    # most 11 of them, so the box is built and the leaf is kept sparse
+    assert isinstance(check(FactoredWeight(1, {_pack(m): 1 for m in far}), pk), fastsum._Sparse)
+    # 11^2 cells for at most 16 terms: dense, although the terms lie on one
+    # line, at most 11 of them, since the rule never counts them
     line = [(k, k, 0, 0, 0) for k in range(1, 5)]
-    for dirs in (far, line):
-        assert isinstance(check(FactoredWeight(1, {_pack(m): 1 for m in dirs}), pk),
-                          fastsum._Sparse)
+    assert isinstance(check(FactoredWeight(1, {_pack(m): 1 for m in line}), pk), fastsum._Dense)
 
 
 def test_dense_growth_at_an_interior_offset_wraps_flat_rows():

@@ -159,9 +159,12 @@ def test_pt_transfer_series_is_shifted_product():
 
 def test_joyce_check_and_negative_control():
     assert joyce_check(3, 8)
-    assert not joyce_check(3, 8, corrupt=True)
-    assert not joyce_check(6, 12, corrupt=True)
     assert joyce_check(0, 4)
+    # the SHIFTED word sums in place of LT break the factorization
+    for order, N in ((3, 8), (6, 12)):
+        pair = pair_symbol_series(order)
+        shifted = pair * wall_transfer_series(order, N, "SHIFTED")
+        assert not shifted.eq_through(pair * hilb_symbol_series(order), order)
 
 
 def test_checks_refuse_orders_past_the_frame():
