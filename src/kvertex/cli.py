@@ -14,6 +14,7 @@ import argparse
 import io
 import json
 import sys
+from numbers import Rational
 
 from . import qcombi, vertexk, wallcross
 from .boxconfig import min_volume
@@ -34,18 +35,26 @@ def parse_legs(text):
         raise UsageError("bad partition: %s" % e)
 
 
-def _emit_series(vs, fmt, out):
+def _emit(out, payload, fmt="json", rows=(), column=None, title=None):
+    """Write payload() as canonical JSON, or the (power, value) rows as a
+    csv table with the named value column, or as a pretty table under
+    title. A csv value that is not a number is quoted."""
     if fmt == "json":
-        out.write(json.dumps(vs.to_json(), sort_keys=True, indent=2))
-        out.write("\n")
+        out.write(json.dumps(payload(), sort_keys=True, indent=2) + "\n")
     elif fmt == "csv":
-        out.write("power,coefficient\n")
-        for n, c in enumerate(vs.series.coeffs, vs.series.min_power):
-            out.write('%d,"%s"\n' % (n, c))
+        out.write("power,%s\n" % column)
+        for n, c in rows:
+            out.write(("%d,%s\n" if isinstance(c, Rational) else '%d,"%s"\n') % (n, c))
     else:
-        out.write("%s vertex series, legs %s\n" % (vs.kind, list(map(list, vs.legs))))
-        for n, c in enumerate(vs.series.coeffs, vs.series.min_power):
+        out.write(title + "\n")
+        for n, c in rows:
             out.write("  Q^%d: %s\n" % (n, c))
+
+
+def _emit_series(vs, fmt, out):
+    title = "%s vertex series, legs %s" % (vs.kind, list(map(list, vs.legs)))
+    rows = enumerate(vs.series.coeffs, vs.series.min_power)
+    _emit(out, vs.to_json, fmt, rows, "coefficient", title)
 
 
 SUITES = ("qbinom", "qmultinom", "mochizuki", "joyce_lt", "joyce_b")
@@ -93,8 +102,7 @@ def cmd_check_identities(args, out):
     suites = SUITES if args.suite == "all" else (args.suite,)
     report = [run_suite(s, args.max_n) for s in suites]
     payload = report[0] if len(report) == 1 else {"suites": report, "verdict": all(r["verdict"] for r in report)}
-    out.write(json.dumps(payload, sort_keys=True, indent=2))
-    out.write("\n")
+    _emit(out, lambda: payload)
     return 0 if payload["verdict"] else 1
 
 
@@ -120,22 +128,12 @@ def cmd_cy_limit(args, out):
     vs = vertexk.dt_vertex_series(*args.legs, order=args.order, jobs=args.jobs)
     consts = vertexk.cy_constancy_check(vs)
     rows = list(zip(range(vs.series.min_power, vs.series.trunc + 1), consts))
-    if args.format == "json":
-        payload = {
-            "legs": [list(x) for x in vs.legs],
-            "order": vs.series.trunc,
-            "constants": [[n, str(c)] for n, c in rows],
-        }
-        out.write(json.dumps(payload, sort_keys=True, indent=2))
-        out.write("\n")
-    elif args.format == "csv":
-        out.write("power,constant\n")
-        for n, c in rows:
-            out.write("%d,%s\n" % (n, c))
-    else:
-        out.write("Calabi-Yau limit constants:\n")
-        for n, c in rows:
-            out.write("  Q^%d: %s\n" % (n, c))
+    payload = {
+        "legs": [list(x) for x in vs.legs],
+        "order": vs.series.trunc,
+        "constants": [[n, str(c)] for n, c in rows],
+    }
+    _emit(out, lambda: payload, args.format, rows, "constant", "Calabi-Yau limit constants:")
     return 0
 
 
@@ -161,8 +159,7 @@ def cmd_check_wcf(args, out):
         "pt_transfer_structural": pt_structural,
         "verdict": collapse and joyce and mochizuki and pt_structural,
     }
-    out.write(json.dumps(payload, sort_keys=True, indent=2))
-    out.write("\n")
+    _emit(out, lambda: payload)
     return 0 if payload["verdict"] else 1
 
 
@@ -172,9 +169,7 @@ def cmd_bridge(args, out):
         raise UsageError("order must be at most frame-dim - 1")
     hilb = vertexk.dt_vertex_series(order=order, jobs=args.jobs)
     ok = wallcross.rank2_bridge(order, N, hilb)
-    payload = {"order": order, "frame_dim": N, "verdict": ok}
-    out.write(json.dumps(payload, sort_keys=True, indent=2))
-    out.write("\n")
+    _emit(out, lambda: {"order": order, "frame_dim": N, "verdict": ok})
     return 0 if ok else 1
 
 
@@ -186,11 +181,10 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, legs=False, order=True):
+    def common(sp, legs=False):
         if legs:
             sp.add_argument("--legs", default=";;", help='three partitions, e.g. "3,1;2;"')
-        if order:
-            sp.add_argument("--order", type=int, required=True, help="truncation order in Q")
+        sp.add_argument("--order", type=int, required=True, help="truncation order in Q")
         sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
@@ -215,20 +209,20 @@ def build_parser():
     sp.add_argument("--suite", choices=SUITES + ("all",), required=True)
     sp.add_argument("--max-n", type=int, required=True)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_check_identities, format="json", jobs=1)
+    sp.set_defaults(fn=cmd_check_identities)
 
     sp = sub.add_parser("check-wcf", help="formal wall-crossing verification")
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--frame-dim", type=int, required=True)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_check_wcf, format="json", jobs=1)
+    sp.set_defaults(fn=cmd_check_wcf)
 
     sp = sub.add_parser("bridge", help="formal-geometric rank-2 cross-check")
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--frame-dim", type=int, required=True)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_bridge, format="json")
+    sp.set_defaults(fn=cmd_bridge)
 
     return p
 

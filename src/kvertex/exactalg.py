@@ -403,7 +403,6 @@ T1 = LaurentPoly.var(0)
 T2 = LaurentPoly.var(1)
 T3 = LaurentPoly.var(2)
 KAPPA = LaurentPoly.term(1, (2, 2, 2, 0, 0))
-KAPPA_MINUS_ONE = KAPPA - ONE
 
 
 def kappa_pow(doubled):
@@ -819,33 +818,27 @@ class RatFunc:
     def subst_t3_cy(self):
         """Exact t3 -> (t1 t2)^(-1) specialization.
 
-        The denominator is specialized factor by factor. Only when that
-        product vanishes are common powers of (kappa - 1) cancelled from
-        the numerator and the expanded denominator first, since
-        (kappa - 1) generates the ideal of the specialization locus; a
-        denominator that still vanishes afterwards is a genuine
-        singularity.
+        Exponents are half-integers, so kappa^(1/2) - 1 generates the
+        kernel of the specialization. Each stored factor is specialized;
+        while the result vanishes, the factor is divided by that generator
+        and the numerator by it once for each unit of the factor's
+        multiplicity. A numerator that runs out of the generator first
+        leaves a genuine singularity.
         """
+        root = kappa_pow(1) - ONE
+        num = self.num
         den = LaurentPoly.const(self.scale)
         for f, mult in self.fac.items():
-            den = den * f.subst_t3_cy() ** mult
-        if not den.is_zero():
-            return RatFunc(self.num.subst_t3_cy(), den)
-        num = self.num
-        den = self.den
-        while True:
-            qn = divide_exact(num, KAPPA_MINUS_ONE)
-            if qn is None:
-                break
-            qd = divide_exact(den, KAPPA_MINUS_ONE)
-            if qd is None:
-                break
-            num, den = qn, qd
-        num = num.subst_t3_cy()
-        den = den.subst_t3_cy()
-        if den.is_zero():
-            raise ZeroDivisionError("singular specialization")
-        return RatFunc(num, den)
+            spec = f.subst_t3_cy()
+            while spec.is_zero():
+                f = divide_exact(f, root)
+                for _ in range(mult):
+                    num = divide_exact(num, root)
+                    if num is None:
+                        raise ZeroDivisionError("singular specialization")
+                spec = f.subst_t3_cy()
+            den = den * spec ** mult
+        return RatFunc(num.subst_t3_cy(), den)
 
     # -- display ----------------------------------------------------------
 

@@ -309,32 +309,30 @@ def check_identity(prop, *, m=None, n=None, mvec=None, N=None):
     """Exhaustive check of one combinatorial identity instance.
 
     QBINOM wants (m, n); QMULTINOM wants mvec; MOCHIZUKI, JOYCE_LT and
-    JOYCE_B want (mvec, N). The left side is summed over every word by the
-    recursion over letter counts (_statistic_counts, directly for QBINOM
-    and QMULTINOM, through restricted_word_sum for the others, once per
-    distinct rearrangement of mvec times its multiplicity); the right side
-    comes from the closed form, and the result compares them exactly.
+    JOYCE_B want (mvec, N); QBINOM is QMULTINOM on mvec = (m, n). The left
+    side is summed over every word by the recursion over letter counts
+    (_statistic_counts, directly for QMULTINOM, through restricted_word_sum
+    for the others, once per distinct rearrangement of mvec times its
+    multiplicity); the right side comes from the closed form, and the
+    result compares them exactly.
     """
     if prop == "QBINOM":
         if m is None or n is None or m < 1 or n < 1:
             raise ValueError("QBINOM wants integers m, n >= 1")
-        lhs = kd_to_poly(_statistic_counts((m, n), (1, 1), (None, None)))
-        if (m * n) % 2:
-            lhs = -lhs
-        rhs = _qfact_ratio(m + n, (m, n))
-        return IdentityResult(prop, {"m": m, "n": n}, lhs, rhs)
-
-    if prop == "QMULTINOM":
+        mvec, args = (m, n), {"m": m, "n": n}
+    elif prop == "QMULTINOM":
         if not mvec or any(x < 1 for x in mvec):
             raise ValueError("QMULTINOM wants a vector of positive parts")
         mvec = tuple(mvec)
+        args = {"mvec": list(mvec)}
+    if prop in ("QBINOM", "QMULTINOM"):
         k = len(mvec)
         lhs = kd_to_poly(_statistic_counts(mvec, (1,) * k, (None,) * k))
         cross = sum(mvec[i] * mvec[j] for i in range(k) for j in range(i))
         if cross % 2:
             lhs = -lhs
         rhs = _qfact_ratio(sum(mvec), mvec)
-        return IdentityResult(prop, {"mvec": list(mvec)}, lhs, rhs)
+        return IdentityResult(prop, args, lhs, rhs)
 
     if prop in ("MOCHIZUKI", "JOYCE_LT", "JOYCE_B"):
         mvec = tuple(mvec or ())

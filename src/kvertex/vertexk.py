@@ -38,7 +38,7 @@ volume-8 assembly cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import fastsum
 from .boxconfig import (
@@ -354,25 +354,14 @@ class VertexSeries:
         }
 
 
-def _config_weight_indexed(args):
-    index, config = args
+def _weight(char, kind, size, job):
+    """factored_weight(char(item)) for job = (index, item); an
+    ArithmeticError names the item as kind #index (size)."""
+    index, item = job
     try:
-        return factored_weight(vertex_character(config))
+        return factored_weight(char(item))
     except ArithmeticError as e:
-        raise ArithmeticError(
-            "%s at config #%d (volume %d)"
-            % (e, index, len(config.core) - config.bound * config.leg_sizes())
-        ) from e
-
-
-def _quot_weight(args):
-    index, pair, u = args
-    try:
-        return factored_weight(_quot_vertex_char(pair, u))
-    except ArithmeticError as e:
-        raise ArithmeticError(
-            "%s at pair #%d (m=%d)" % (e, index, sum(len(c.core) for c in pair))
-        ) from e
+        raise ArithmeticError("%s at %s #%d (%s)" % (e, kind, index, size)) from e
 
 
 def _map_jobs(fn, items, jobs):
@@ -394,9 +383,8 @@ def dt_vertex_series(l1=(), l2=(), l3=(), order=0, jobs=1):
         raise ValueError("order below the minimal volume %d" % nmin)
     coeffs = []
     for n in range(nmin, order + 1):
-        fws = _map_jobs(
-            _config_weight_indexed, enumerate(enumerate_configs(*legs, n=n)), jobs
-        )
+        weight = partial(_weight, vertex_character, "config", "volume %d" % n)
+        fws = _map_jobs(weight, enumerate(enumerate_configs(*legs, n=n)), jobs)
         coeffs.append(_pair_to_ratfunc(sum_weights(fws)))
     return VertexSeries("DT", legs, QSeries(nmin, coeffs, order))
 
@@ -461,8 +449,8 @@ def quot2_vertex_series(order, framing=None, jobs=1):
     u = _framing_offset(framing)
     coeffs = []
     for m in range(order + 1):
-        items = [(i, pair, u) for i, pair in enumerate(enumerate_quot_pairs(m))]
-        fws = _map_jobs(_quot_weight, items, jobs)
+        weight = partial(_weight, partial(_quot_vertex_char, u=u), "pair", "m=%d" % m)
+        fws = _map_jobs(weight, enumerate(enumerate_quot_pairs(m)), jobs)
         rf = _pair_to_ratfunc(sum_weights(fws))
         if framing is None and rf.uses_vars() & {3, 4}:
             raise ArithmeticError("rigidity violation")

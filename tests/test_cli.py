@@ -1,5 +1,6 @@
 """Command-line surface: parsing, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -166,3 +167,29 @@ def test_pt_vertex_pretty():
     proc = run_cli("pt-vertex", "--legs", ";;", "--order", "1", "--format", "pretty")
     assert proc.returncode == 0
     assert "PT vertex series" in proc.stdout
+
+
+def test_series_tables_are_pinned(capsys):
+    # stdout sha256 of every series command's csv and pretty tables, as
+    # recorded before the commands shared one writer
+    from kvertex.cli import main
+
+    pinned = {
+        ("dt-vertex", "--legs", "1;;", "--order", "2"): (
+            "c587e87d84d78ff8446526fdc74249857762b17a2268545cb0c7d0fd1f1d8bc2",
+            "28c204ecc728a3060e73f4d2ac84f8fe44c56323c7aa29c19ecba5e89f56ec78"),
+        ("pt-vertex", "--legs", "1;;", "--order", "1"): (
+            "13cc5e4b1ca5d7470410ea57d7d2fa656b6e4e4b40966e728f7f87be5b414260",
+            "53549318ba07e1f6999fca0811e1f40fe0f0c86ffe5f6c844f0539c8b13f8a1c"),
+        ("quot2-vertex", "--order", "2"): (
+            "72f9ce5105db579a04455b26aa382f5dd5445000c872dc7f4a3ed0974b2db124",
+            "4fa8d215641e26e0d57508e9107688f9af528057eb0b3d5c6e738686bb5420ef"),
+        ("cy-limit", "--order", "3"): (
+            "f9299be6e59fad95fbd8884f877f17f04fc5a93ee439e8781513fb8650252180",
+            "906b6be2be963b8d3eb85dfcc63d485b67600753d6780373a138141797d69956"),
+    }
+    for cmd, digests in pinned.items():
+        for fmt, digest in zip(("csv", "pretty"), digests):
+            assert main([*cmd, "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (cmd, fmt)

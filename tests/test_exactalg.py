@@ -16,6 +16,7 @@ from kvertex.exactalg import (
     RatFunc,
     divide_exact,
     exps_str,
+    kappa_pow,
 )
 from kvertex.vertexk import cy_constancy_check, dt_vertex_series
 
@@ -304,8 +305,35 @@ def test_cy_subst_cancels_kappa_minus_one():
     # (kappa - 1) is cancelled before the specialization
     r = RatFunc((KAPPA - ONE) * (T1 + 2 * ONE), (KAPPA - ONE) * (T1 + ONE))
     assert r.subst_t3_cy() == RatFunc(T1 + 2 * ONE, T1 + ONE)
+    # exponents are half-integers, so kappa^(1/2) - 1 generates the kernel
+    root = kappa_pow(1) - ONE
+    r = RatFunc(root * (T1 + 2 * ONE), root * (T1 + ONE))
+    assert r.subst_t3_cy() == RatFunc(T1 + 2 * ONE, T1 + ONE)
     with pytest.raises(ZeroDivisionError, match="singular specialization"):
         RatFunc(ONE, KAPPA - ONE).subst_t3_cy()
+    # one stored factor (kappa - 1)^2 (t1 + 1) of multiplicity 2
+    k1 = KAPPA - ONE
+    r = k1 ** 4 * (T1 + 3 * ONE) * RatFunc(ONE, k1 * k1 * (T1 + ONE)) ** 2
+    assert list(r.fac.values()) == [2]
+    assert r.subst_t3_cy().to_json() == {
+        "num": [["3", [0, 0, 0, 0, 0]], ["1", [2, 0, 0, 0, 0]]],
+        "den": [["1", [0, 0, 0, 0, 0]], ["2", [2, 0, 0, 0, 0]], ["1", [4, 0, 0, 0, 0]]],
+    }
+    # a vanishing factor beside factors that specialize to 2 and to t3 + 2
+    r = (RatFunc(k1 * (T1 + 2 * ONE), k1 * (T1 + ONE)) * RatFunc(ONE, KAPPA + ONE) ** 2
+         * RatFunc(ONE, T3 + 2 * ONE))
+    assert sorted(r.fac.values()) == [1, 1, 2]
+    s = r.subst_t3_cy()
+    assert s.scale == 4
+    assert s.to_json() == {
+        "num": [["2", [2, 2, 0, 0, 0]], ["1", [4, 2, 0, 0, 0]]],
+        "den": [["4", [0, 0, 0, 0, 0]], ["4", [2, 0, 0, 0, 0]], ["8", [2, 2, 0, 0, 0]],
+                ["8", [4, 2, 0, 0, 0]]],
+    }
+    # (kappa - 1)/(kappa^2 - 1): the leftover kappa^(1/2) + 1 goes to 2
+    s = RatFunc(k1, KAPPA * KAPPA - ONE).subst_t3_cy()
+    assert s.as_constant() == Fraction(1, 2) and s.scale == 2
+    assert s.to_json() == {"num": [["1", [0, 0, 0, 0, 0]]], "den": [["2", [0, 0, 0, 0, 0]]]}
 
 
 def test_cy_constants_are_ints():

@@ -4,6 +4,7 @@ oracles where the contracts give one."""
 import itertools
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -419,17 +420,18 @@ def test_quot_character_matches_four_blocks(exps):
 
 
 def test_jobs_do_not_change_results():
-    a = dt_vertex_series(order=3, jobs=1)
-    b = dt_vertex_series(order=3, jobs=2)
-    assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
+    for series in (lambda jobs: dt_vertex_series(order=3, jobs=jobs),
+                   lambda jobs: quot2_vertex_series(3, jobs=jobs)):
+        a, b = series(1), series(2)
+        assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
 
 
 def _quot_weights(m, framing=None):
     import kvertex.vertexk as vk
     from kvertex.boxconfig import enumerate_quot_pairs
 
-    u = vk._framing_offset(framing)
-    return [vk._quot_weight((i, pair, u)) for i, pair in enumerate(enumerate_quot_pairs(m))]
+    char = partial(vk._quot_vertex_char, u=vk._framing_offset(framing))
+    return [vk._weight(char, "pair", "m=%d" % m, job) for job in enumerate(enumerate_quot_pairs(m))]
 
 
 def test_int64_layouts_match_dict_layout(monkeypatch):
